@@ -1,0 +1,12 @@
+"""Make the benchmark's modules and the program importable for its tests.
+
+    python3 -m pytest perfbench/tests
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, BENCH)
