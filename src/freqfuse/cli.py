@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,18 +29,18 @@ from .errors import (
 )
 from .gradcheck import run_all
 from .kernel import dft_magnitude_raw
-from .model import load_checkpoint, save_checkpoint
+from .model import read_checkpoint, save_checkpoint
 from .retrieval import KnowledgeBase, retrieve
 from .training import (
+    VARIANT_ORDER,
     FoldResult,
     TrainConfig,
-    make_folds,
     evaluate_arrays,
-    run_ablation_suite,
-    metrics_csv_text,
+    make_folds,
     summarize,
     train_fold,
-    VARIANT_ORDER,
+    variant_configs,
+    write_metrics_csv,
 )
 
 EXIT_OK = 0
@@ -88,29 +88,14 @@ def read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _coerce(key: str, value: str):
-    kind = _CONFIG_KEYS[key]
-    text = str(kind)
-    if "bool" in text:
+def _coerce(key: str, kind: type, value: str):
+    """Parse a config or flag string as `kind`; a malformed value is a config error."""
+    if kind is bool:
         return _parse_bool(value, key)
-    if "int" in text:
-        return int(value)
-    if "float" in text:
-        return float(value)
-    return value
-
-
-def build_train_config(file_values: dict[str, str], cli_values: dict) -> TrainConfig:
-    kwargs = {}
-    for key, value in file_values.items():
-        if key in _CONFIG_KEYS:
-            kwargs[key] = _coerce(key, value)
-    for key, value in cli_values.items():
-        if key in _CONFIG_KEYS and value is not None:
-            kwargs[key] = value
-    config = TrainConfig(**kwargs)
-    config.validate()
-    return config
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from exc
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -200,25 +185,32 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve(args, file_values: dict[str, str], key: str, default=None):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in file_values:
-        return file_values[key]
-    return default
+def _resolve(args, file_values: dict[str, str], key: str, default=None, kind: type = str):
+    """The flag's value, else the config file's, else the default; strings
+    (file values and on/off switches) are parsed as `kind`."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = file_values.get(key, default)
+    return _coerce(key, kind, value) if isinstance(value, str) else value
 
 
 def _train_config_from(args, file_values: dict[str, str]) -> TrainConfig:
-    cli_values = {}
-    for name in _CONFIG_KEYS:
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if name in ("frequency", "retrieval", "contrastive", "co_selection", "tie_filters"):
-            value = _parse_bool(value, name) if isinstance(value, str) else value
-        cli_values[name] = value
-    return build_train_config(file_values, cli_values)
+    kwargs = {}
+    for key, kind in _CONFIG_KEYS.items():
+        value = _resolve(args, file_values, key, kind=kind)
+        if value is not None:
+            kwargs[key] = value
+    config = TrainConfig(**kwargs)
+    config.validate()
+    return config
+
+
+def _selected_folds(args, config: TrainConfig) -> list[int]:
+    folds = args.fold if args.fold else list(range(config.folds))
+    for fold in folds:
+        if not 0 <= fold < config.folds:
+            raise ConfigError(f"fold {fold} outside [0, {config.folds})")
+    return folds
 
 
 def _require(value, flag: str):
@@ -233,23 +225,12 @@ def _load_kb(path: str | None) -> KnowledgeBase | None:
     return KnowledgeBase(data_mod.load_knowledge_base(path))
 
 
-def _train_one_fold_job(payload):
+def _train_one_fold_job(payload) -> FoldResult:
     dataset_path, kb_path, config, fold = payload
     manifest, samples = data_mod.load_dataset(dataset_path)
     kb = _load_kb(kb_path)
     fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
-    return fold, train_fold(manifest, samples, kb, config, fold_ids, fold)
-
-
-def _ablate_one_job(payload):
-    dataset_path, kb_path, config, variant, fold = payload
-    from .training import variant_configs
-
-    manifest, samples = data_mod.load_dataset(dataset_path)
-    kb = _load_kb(kb_path)
-    fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
-    variant_config = variant_configs(config)[variant]
-    return variant, fold, train_fold(manifest, samples, kb, variant_config, fold_ids, fold)
+    return train_fold(manifest, samples, kb, config, fold_ids, fold)
 
 
 def _fold_payload(result: FoldResult) -> dict:
@@ -257,23 +238,13 @@ def _fold_payload(result: FoldResult) -> dict:
         "fold": result.fold,
         "best_epoch": result.best_epoch,
         "metrics": result.metrics.as_dict(),
-        "history": [
-            {
-                "epoch": h.epoch,
-                "lr": h.lr,
-                "train_loss": h.train_loss,
-                "ce": h.ce,
-                "contrastive": h.contrastive,
-                "val_accuracy": h.val_accuracy,
-            }
-            for h in result.history
-        ],
+        "history": [asdict(h) for h in result.history],
     }
 
 
 def cmd_synth(args, file_values) -> int:
     out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
-    seed = int(_resolve(args, file_values, "seed", 0))
+    seed = _resolve(args, file_values, "seed", 0, int)
     manifest, samples, kb = data_mod.generate_synthetic(
         n_classes=args.classes,
         n_per_class=args.per_class,
@@ -283,7 +254,6 @@ def cmd_synth(args, file_values) -> int:
         samples_per_image=args.samples_per_image,
         amplitude=args.amplitude,
     )
-    os.makedirs(out_dir, exist_ok=True)
     dataset_path = os.path.join(out_dir, "dataset.jsonl")
     kb_path = os.path.join(out_dir, "kb.jsonl")
     data_mod.save_dataset(dataset_path, manifest, samples)
@@ -293,36 +263,25 @@ def cmd_synth(args, file_values) -> int:
     return EXIT_OK
 
 
-def _run_fold_jobs(jobs, worker_fn, workers: int):
+def _run_fold_jobs(jobs, workers: int) -> list[FoldResult]:
+    """Train every (dataset, kb, config, fold) job; results keep job order."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker_fn, jobs))
-    return [worker_fn(job) for job in jobs]
+            return list(pool.map(_train_one_fold_job, jobs))
+    return [_train_one_fold_job(job) for job in jobs]
 
 
 def cmd_train(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
     out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
-    workers = int(_resolve(args, file_values, "workers", 1))
+    workers = _resolve(args, file_values, "workers", 1, int)
     config = _train_config_from(args, file_values)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    elif "seed" in file_values:
-        config = replace(config, seed=int(file_values["seed"]))
-
-    manifest, samples = data_mod.load_dataset(dataset_path)
-    folds = args.fold if args.fold else list(range(config.folds))
-    for fold in folds:
-        if not 0 <= fold < config.folds:
-            raise ConfigError(f"fold {fold} outside [0, {config.folds})")
+    folds = _selected_folds(args, config)
     jobs = [(dataset_path, kb_path, config, fold) for fold in folds]
-    results = dict(_run_fold_jobs(jobs, _train_one_fold_job, workers))
+    results = dict(zip(folds, _run_fold_jobs(jobs, workers)))
 
-    os.makedirs(out_dir, exist_ok=True)
     rows = [("train", fold, results[fold].metrics) for fold in folds]
-    from .training import write_metrics_csv
-
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
     summary = {
         "config": asdict(config),
@@ -348,11 +307,18 @@ def cmd_eval(args, file_values) -> int:
     manifest, samples = data_mod.load_dataset(dataset_path)
     if not samples:
         raise DataError(f"{dataset_path}: dataset has no samples to evaluate")
-    params = load_checkpoint(args.checkpoint)
-    with open(args.checkpoint, encoding="utf-8") as fh:
-        meta = json.load(fh)["meta"]
+    params, meta = read_checkpoint(args.checkpoint)
     stored = meta.get("train_config", {})
-    config = TrainConfig(**{k: v for k, v in stored.items() if k in _CONFIG_KEYS})
+    if not isinstance(stored, dict):
+        raise DataError(f"checkpoint {args.checkpoint}: meta.train_config is not an object")
+    kwargs = {k: v for k, v in stored.items() if k in _CONFIG_KEYS}
+    for key, value in kwargs.items():
+        kind = _CONFIG_KEYS[key]
+        if not isinstance(value, (int, float) if kind is float else kind):
+            raise DataError(
+                f"checkpoint {args.checkpoint}: train_config {key}={value!r} is not {kind.__name__}"
+            )
+    config = TrainConfig(**kwargs)
     kb = _load_kb(kb_path)
     report = evaluate_arrays(
         params,
@@ -365,7 +331,6 @@ def cmd_eval(args, file_values) -> int:
     payload = json.dumps({"metrics": report.as_dict()}, indent=2) + "\n"
     out_dir = _resolve(args, file_values, "out_dir")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         data_mod.atomic_write_text(os.path.join(out_dir, "metrics.json"), payload)
         print(os.path.join(out_dir, "metrics.json"))
     else:
@@ -402,7 +367,6 @@ def cmd_retrieve(args, file_values) -> int:
     text = "\n".join(outputs) + "\n"
     out_dir = _resolve(args, file_values, "out_dir")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         data_mod.atomic_write_text(os.path.join(out_dir, "retrieval.jsonl"), text)
         print(os.path.join(out_dir, "retrieval.jsonl"))
     else:
@@ -411,7 +375,7 @@ def cmd_retrieve(args, file_values) -> int:
 
 
 def cmd_gradcheck(args, file_values) -> int:
-    seed = int(_resolve(args, file_values, "seed", 0))
+    seed = _resolve(args, file_values, "seed", 0, int)
     results = run_all(seed=seed, tolerance=args.tolerance)
     all_ok = True
     for r in results:
@@ -438,7 +402,6 @@ def cmd_spectrum(args, file_values) -> int:
             mags, _ = dft_magnitude_raw(vec)
             for b, m in enumerate(mags):
                 lines.append(f"{sample.sample_id},{modality},{b},{float(m)!r}")
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "spectra.csv")
     data_mod.atomic_write_text(path, "\n".join(lines) + "\n")
     print(path)
@@ -449,34 +412,23 @@ def cmd_ablate(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
     out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
-    workers = int(_resolve(args, file_values, "workers", 1))
+    workers = _resolve(args, file_values, "workers", 1, int)
     config = _train_config_from(args, file_values)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    elif "seed" in file_values:
-        config = replace(config, seed=int(file_values["seed"]))
-
-    manifest, samples = data_mod.load_dataset(dataset_path)
-    folds = args.fold if args.fold else list(range(config.folds))
+    folds = _selected_folds(args, config)
+    variants = variant_configs(config)
     jobs = [
-        (dataset_path, kb_path, config, variant, fold)
+        (dataset_path, kb_path, variants[variant], fold)
         for variant in VARIANT_ORDER
         for fold in folds
     ]
-    raw = _run_fold_jobs(jobs, _ablate_one_job, workers)
-    by_variant: dict[str, dict[int, FoldResult]] = {}
-    for variant, fold, result in raw:
-        by_variant.setdefault(variant, {})[fold] = result
+    results = iter(_run_fold_jobs(jobs, workers))
 
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     summary = {}
     for variant in VARIANT_ORDER:
-        per_fold = [by_variant[variant][fold] for fold in folds]
+        per_fold = [next(results) for _ in folds]
         rows.extend((variant, fold, r.metrics) for fold, r in zip(folds, per_fold))
         summary[variant] = summarize([r.metrics for r in per_fold])
-    from .training import write_metrics_csv
-
     write_metrics_csv(os.path.join(out_dir, "ablation.csv"), rows)
     data_mod.atomic_write_text(
         os.path.join(out_dir, "ablation_summary.json"),

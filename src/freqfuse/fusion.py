@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
 from .kernel import GradTape, Tensor, dft_magnitude
 from .kernel import ops
 
@@ -103,12 +102,6 @@ class SpectralFeatures:
     v_enhanced: Tensor
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor, tape: GradTape | None) -> Tensor:
-    if x.data.ndim == 1:
-        return ops.matvec(w, x, b, tape)
-    return ops.linear(x, w, b, tape)
-
-
 def spectral_transform(
     t: Tensor, v: Tensor, tape: GradTape | None = None
 ) -> tuple[Tensor, Tensor]:
@@ -118,9 +111,7 @@ def spectral_transform(
 
 def filter_compress(m_freq: Tensor, w: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
     """Compress a d_model spectrum to K scalar summaries: f_k = w_k . m + b_k."""
-    if w.shape[1] != m_freq.shape[-1]:
-        raise DimensionError(f"filter bank {w.shape} does not accept spectrum {m_freq.shape}")
-    return _affine(m_freq, w, b, tape)
+    return ops.linear(m_freq, w, b, tape)
 
 
 def co_select(
@@ -141,8 +132,8 @@ def co_select(
     v_driver = ops.mean_pool(v_comp, axis=-1, keepdims=True, tape=tape)
     gate_t_in = v_driver if cross_modal else t_driver
     gate_v_in = t_driver if cross_modal else v_driver
-    g_text = ops.sigmoid(_affine(gate_t_in, params.w_gate_text, params.b_gate_text, tape), tape)
-    g_image = ops.sigmoid(_affine(gate_v_in, params.w_gate_image, params.b_gate_image, tape), tape)
+    g_text = ops.sigmoid(ops.linear(gate_t_in, params.w_gate_text, params.b_gate_text, tape), tape)
+    g_image = ops.sigmoid(ops.linear(gate_v_in, params.w_gate_image, params.b_gate_image, tape), tape)
     return ops.mul(t_freq, g_text, tape), ops.mul(v_freq, g_image, tape)
 
 

@@ -76,13 +76,14 @@ def _weighted_scalar(x: Tensor, rng: np.random.Generator, tape: GradTape | None)
     return _scalar(ops.mul(x, w, tape), tape)
 
 
-def _suite_matvec(seed: int) -> float:
-    rng = named_stream(seed, "gc-matvec")
+def _suite_linear_vector(seed: int) -> float:
+    rng = named_stream(seed, "gc-vec")
     w = Tensor(rng.standard_normal((3, 4)))
     x = Tensor(rng.standard_normal(4))
     b = Tensor(rng.standard_normal(3))
     return finite_difference_check(
-        lambda tape: _scalar(ops.matvec(w, x, b, tape), tape), {"w": w, "x": x, "b": b}
+        lambda tape: _weighted_scalar(ops.linear(x, w, b, tape), named_stream(seed, "gc-vec-w"), tape),
+        {"x": x, "w": w, "b": b},
     )
 
 
@@ -321,7 +322,7 @@ class SuiteResult:
 
 
 ALL_SUITES: list[tuple[str, Callable[[int], float]]] = [
-    ("matvec", _suite_matvec),
+    ("linear_vector", _suite_linear_vector),
     ("projection", _suite_projection),
     ("matmul_nt", _suite_matmul_nt),
     ("dft_magnitude", _suite_dft_magnitude),

@@ -4,9 +4,8 @@ Convention: unnormalized forward transform, X[k] = sum_n x[n] exp(-2i pi k n / d
 With it, Parseval reads sum_k |X[k]|^2 = d * sum_n x[n]^2 and a constant input
 c produces a pure DC bin of height d*|c|.
 
-Power-of-two lengths go through an iterative radix-2 Cooley-Tukey FFT
-vectorized over leading batch axes; any other length falls back to the naive
-O(d^2) transform.
+The transform is numpy's FFT, O(d log d) at any length and vectorized over
+leading batch axes.
 """
 
 import numpy as np
@@ -18,54 +17,11 @@ from .tensor import GradTape, Tensor
 MAG_EPS = 1e-12
 
 
-def bit_reverse_indices(n: int) -> np.ndarray:
-    """Bit-reversal permutation for power-of-two n."""
-    bits = n.bit_length() - 1
-    idx = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        r = 0
-        v = i
-        for _ in range(bits):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        idx[i] = r
-    return idx
-
-
-def _fft_radix2(z: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time FFT along the last axis (power-of-two length)."""
-    d = z.shape[-1]
-    out = np.ascontiguousarray(z[..., bit_reverse_indices(d)], dtype=np.complex128)
-    m = 2
-    while m <= d:
-        half = m // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / m)
-        view = out.reshape(*out.shape[:-1], d // m, m)
-        even = view[..., :half].copy()
-        odd = view[..., half:] * tw
-        view[..., :half] = even + odd
-        view[..., half:] = even - odd
-        m <<= 1
-    return out
-
-
-def _dft_naive(z: np.ndarray) -> np.ndarray:
-    """Direct O(d^2) transform along the last axis; any length."""
-    d = z.shape[-1]
-    k = np.arange(d)
-    kernel = np.exp(-2j * np.pi * np.outer(k, k) / d)
-    return z @ kernel.T
-
-
 def dft(x: np.ndarray) -> np.ndarray:
     """Complex spectrum of real or complex input along the last axis."""
-    d = x.shape[-1]
-    if d < 1:
+    if x.shape[-1] < 1:
         raise DimensionError("dft needs at least one sample")
-    z = np.asarray(x, dtype=np.complex128)
-    if d & (d - 1) == 0:
-        return _fft_radix2(z)
-    return _dft_naive(z)
+    return np.fft.fft(x, axis=-1)
 
 
 def dft_magnitude_raw(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,16 +31,16 @@ def dft_magnitude_raw(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dft_magnitude_backward(
-    spectrum: np.ndarray, upstream: np.ndarray, eps: float = MAG_EPS
+    spectrum: np.ndarray, grad_out: np.ndarray, eps: float = MAG_EPS
 ) -> np.ndarray:
     """Adjoint of the magnitude spectrum w.r.t. the real input.
 
     d|X[k]|/dx[n] = Re(conj(X[k]) exp(-2i pi k n / d)) / max(|X[k]|, eps),
     so the full adjoint is one more forward transform:
-    grad = Re(DFT(upstream * conj(X) / max(|X|, eps))).
+    grad = Re(DFT(grad_out * conj(X) / max(|X|, eps))).
     """
     mag = np.abs(spectrum)
-    weighted = upstream * np.conj(spectrum) / np.maximum(mag, eps)
+    weighted = grad_out * np.conj(spectrum) / np.maximum(mag, eps)
     return np.real(dft(weighted))
 
 

@@ -24,35 +24,10 @@ def _as2d(arr: np.ndarray):
     raise DimensionError(f"expected vector or batch, got shape {arr.shape}")
 
 
-def matvec(w: Tensor, x: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
-    """y = W @ x + b for a single vector x."""
-    if w.data.ndim != 2 or x.data.ndim != 1 or b.data.ndim != 1:
-        raise DimensionError(
-            f"matvec expects matrix/vector/vector, got {w.shape}/{x.shape}/{b.shape}"
-        )
-    m, n = w.shape
-    if x.shape[0] != n or b.shape[0] != m:
-        raise DimensionError(f"matvec shapes do not conform: {w.shape}, {x.shape}, {b.shape}")
-    out = Tensor(w.data @ x.data + b.data)
-    if tape is not None:
-
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            w.accumulate_grad(np.outer(g, x.data))
-            x.accumulate_grad(w.data.T @ g)
-            b.accumulate_grad(g)
-
-        tape.record(backward)
-    return out
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Batched affine map: rows of x through W (m, n) plus b (m,)."""
+    """Affine map W (m, n) @ x + b (m,) of a vector (n,) or of each row of a batch (B, n)."""
     xd, was_vec = _as2d(x.data)
-    m, n = w.shape
-    if xd.shape[1] != n or b.shape != (m,):
+    if w.data.ndim != 2 or xd.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
         raise DimensionError(f"linear shapes do not conform: x {x.shape}, W {w.shape}, b {b.shape}")
     y = xd @ w.data.T + b.data
     out = Tensor(y[0] if was_vec else y)

@@ -79,7 +79,7 @@ class GradTape:
     def backward(self, out: Tensor, seed: np.ndarray | None = None):
         """Run the reverse pass from `out`, accumulating into leaf .grad slots.
 
-        `out` must be scalar unless an explicit upstream `seed` is given.
+        `out` must be scalar unless an explicit output gradient `seed` is given.
         """
         if seed is None:
             if out.size != 1:
@@ -91,7 +91,3 @@ class GradTape:
         for fn in reversed(self._records):
             fn()
 
-
-def upstream(out: Tensor) -> np.ndarray | None:
-    """Gradient flowing into `out`, or None if nothing downstream used it."""
-    return out.grad

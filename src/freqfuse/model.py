@@ -227,7 +227,7 @@ def forward_batch(
     """Run the full pipeline on a batch.
 
     In the precomputed layout the image features enter the graph as an
-    untraced constant; only the text projection is learned upstream of the
+    untraced constant; only the text projection is learned ahead of the
     fusion stage. Retrieval queries are taken from detached values, so no
     gradient reaches the knowledge base.
     """
@@ -283,7 +283,21 @@ def save_checkpoint(path: str, params: ModelParams, extra_meta: dict | None = No
     atomic_write_text(path, json.dumps(blob))
 
 
-def load_checkpoint(path: str) -> ModelParams:
+_META_TYPES = {
+    "n_classes": int,
+    "d_model": int,
+    "feature_layout": str,
+    "fusion_mode": str,
+    "k_filters": int,
+    "hidden1": int,
+    "hidden2": int,
+    "dropout": (int, float),
+    "tie_filters": bool,
+}
+
+
+def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
+    """Parameters and meta of a checkpoint; a malformed file is a DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -291,15 +305,25 @@ def load_checkpoint(path: str) -> ModelParams:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(blob, dict):
+        raise DataError(f"checkpoint {path} is not a JSON object")
     if blob.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"checkpoint format {blob.get('format_version')!r} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    meta = blob["meta"]
+    meta = blob.get("meta")
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path} has no meta object")
+    for key, kind in _META_TYPES.items():
+        if not isinstance(meta.get(key), kind):
+            raise DataError(f"checkpoint meta {key!r} is missing or has the wrong type")
+    if meta["fusion_mode"] not in FUSION_MODES:
+        raise DataError(f"checkpoint meta fusion_mode {meta['fusion_mode']!r} is unknown")
     manifest = DatasetManifest(
         n_classes=meta["n_classes"], d_model=meta["d_model"], feature_layout=meta["feature_layout"]
     )
+    manifest.validate()
     params = init_model_params(
         manifest,
         fusion_mode=meta["fusion_mode"],
@@ -309,19 +333,29 @@ def load_checkpoint(path: str) -> ModelParams:
         dropout=meta["dropout"],
         tie_filters=meta["tie_filters"],
     )
-    stored = blob["params"]
+    stored = blob.get("params")
+    if not isinstance(stored, dict):
+        raise DataError(f"checkpoint {path} has no params object")
     expected = params.named()
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
         raise DataError(f"checkpoint params mismatch: missing {missing}, unexpected {extra}")
     for name, tensor in expected.items():
-        entry = stored[name]
-        shape = tuple(entry["shape"])
-        if shape != tensor.shape:
-            raise DataError(f"checkpoint param {name} has shape {shape}, expected {tensor.shape}")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
+        try:
+            shape = tuple(stored[name]["shape"])
+            arr = np.asarray(stored[name]["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint param {name} is malformed: {exc}") from exc
+        if shape != tensor.shape or arr.shape != (tensor.size,):
+            raise DataError(f"checkpoint param {name} does not hold shape {tensor.shape}")
+        arr = arr.reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise DataError(f"checkpoint param {name} contains non-finite values")
         tensor.data = arr
-    return params
+    return params, meta
+
+
+def load_checkpoint(path: str) -> ModelParams:
+    """Parameters of a checkpoint, checked as in read_checkpoint."""
+    return read_checkpoint(path)[0]

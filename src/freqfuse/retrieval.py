@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import KnowledgeEntry
 from .errors import ConfigError, ContractError, DataError, DegenerateInputError, RetrievalError
-from .kernel import hermitian_eig, psd_sqrt
+from .kernel import Tensor, ops, psd_sqrt
 
 TOP_K = 3
 SOFTMAX_TAU = 0.1
@@ -83,14 +83,6 @@ def fidelity_general(rho_q: DensityMatrix, rho_k: DensityMatrix) -> float:
     return fidelity(DensityMatrix(rho_q.rho), DensityMatrix(rho_k.rho))
 
 
-def form_query(t_enhanced: np.ndarray, v_enhanced: np.ndarray) -> np.ndarray:
-    t = np.asarray(t_enhanced, dtype=np.float64)
-    v = np.asarray(v_enhanced, dtype=np.float64)
-    if t.shape != v.shape:
-        raise ContractError(f"query halves disagree: {t.shape} vs {v.shape}")
-    return 0.5 * (t + v)
-
-
 class KnowledgeBase:
     """Immutable entry store with unit-normalized rows precomputed for scoring."""
 
@@ -134,10 +126,27 @@ def _similarities(qn: np.ndarray, kb: KnowledgeBase, similarity: str) -> np.ndar
     raise ConfigError(f"unknown similarity {similarity!r}")
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def _top_k(
+    queries: np.ndarray, kb: KnowledgeBase, k: int, tau: float, similarity: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, similarities (descending) and softmax weights of the k best
+    entries for each row of a (B, d) query matrix, each of shape (B, k)."""
+    if k < 1 or k > len(kb):
+        raise ConfigError(f"k={k} outside [1, {len(kb)}]")
+    if tau <= 0:
+        raise ConfigError(f"tau must be positive, got {tau}")
+    if queries.shape[1] != kb.d_model:
+        raise ContractError(
+            f"query width {queries.shape[1]} does not match knowledge base width {kb.d_model}"
+        )
+    norms = np.linalg.norm(queries, axis=1)
+    if np.any(norms <= NORM_EPS):
+        raise DegenerateInputError("cannot normalize a (near-)zero query vector")
+    sims = _similarities(queries / norms[:, None], kb, similarity)
+    # stable sort on the negated scores keeps ties in entry order
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    top = np.take_along_axis(sims, order, axis=1)
+    return order, top, ops.softmax(Tensor(top / tau)).data
 
 
 def retrieve(
@@ -147,22 +156,15 @@ def retrieve(
     tau: float = SOFTMAX_TAU,
     similarity: str = "fidelity",
 ) -> RetrievalResult:
-    if k < 1 or k > len(kb):
-        raise ConfigError(f"k={k} outside [1, {len(kb)}]")
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    qn = normalize_to_state(np.asarray(q, dtype=np.float64)).amplitudes
-    sims = _similarities(qn, kb, similarity)
-    # stable sort on the negated scores keeps ties in entry order
-    order = np.argsort(-sims, kind="stable")[:k]
-    top = sims[order]
-    weights = _softmax(top / tau)
-    k_agg = weights @ kb.embeddings[order]
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1:
+        raise ContractError(f"expected a (d,) query, got {q.shape}")
+    (order,), (top,), (weights,) = _top_k(q[None, :], kb, k, tau, similarity)
     return RetrievalResult(
         entries=[kb.entries[i] for i in order],
         similarities=top,
         weights=weights,
-        k_agg=k_agg,
+        k_agg=weights @ kb.embeddings[order],
         indices=order,
     )
 
@@ -178,13 +180,5 @@ def retrieve_batch(
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise ContractError(f"expected (B, d) queries, got {queries.shape}")
-    if k < 1 or k > len(kb):
-        raise ConfigError(f"k={k} outside [1, {len(kb)}]")
-    norms = np.linalg.norm(queries, axis=1)
-    if np.any(norms <= NORM_EPS):
-        raise DegenerateInputError("batch contains a (near-)zero query vector")
-    sims = _similarities(queries / norms[:, None], kb, similarity)
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-    top = np.take_along_axis(sims, order, axis=1)
-    weights = _softmax(top / tau)
+    order, _, weights = _top_k(queries, kb, k, tau, similarity)
     return np.einsum("bk,bkd->bd", weights, kb.embeddings[order])

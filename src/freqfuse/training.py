@@ -20,7 +20,7 @@ from .data import (
     question_matrix,
 )
 from .errors import ConfigError, NumericError
-from .kernel import AdamState, GradTape, Tensor, adam_step
+from .kernel import AdamState, GradTape, Tensor, adam_step, ops
 from .losses import TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
 from .model import ModelParams, forward_batch, init_model_params
 from .retrieval import KnowledgeBase
@@ -161,12 +161,6 @@ def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def _softmax_np(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def compute_metrics(labels: np.ndarray, probs: np.ndarray) -> MetricsReport:
     """Accuracy plus macro precision/recall/F1/AUC over classes present in labels."""
     preds = probs.argmax(axis=1)
@@ -220,7 +214,7 @@ def predict_probs(
         retrieval_k=config.retrieval_k,
         retrieval_tau=config.retrieval_tau,
     )
-    return _softmax_np(result.logits.data)
+    return ops.softmax(result.logits).data
 
 
 def evaluate_arrays(

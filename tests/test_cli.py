@@ -313,6 +313,138 @@ def test_ablate_writes_all_variant_rows(tmp_path, capsys):
     assert set(summary["summary"]) == set(VARIANT_ORDER)
 
 
+@pytest.fixture(scope="module")
+def knowledge_ckpt(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("knowledge-run")
+    code = run(
+        [
+            "train",
+            "--dataset", str(synth_dir / "dataset.jsonl"),
+            "--kb", str(synth_dir / "kb.jsonl"),
+            "--out-dir", str(out),
+            "--seed", "3",
+            "--folds", "2",
+            "--fold", "0",
+            "--max-epochs", "1",
+            "--hidden1", "16",
+            "--hidden2", "8",
+            "--fusion-mode", "freq_plus_knowledge",
+        ]
+    )
+    assert code == EXIT_OK
+    return out / "fold0.ckpt.json"
+
+
+def _query_of_wrong_width(tmp_path, synth_dir, ckpt):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("[1.0, 2.0, 3.0]\n")
+    return ["retrieve", "--kb", str(synth_dir / "kb.jsonl"), "--queries", str(queries)]
+
+
+def _eval_args(synth_dir, ckpt, kb=None):
+    kb = kb or synth_dir / "kb.jsonl"
+    return ["eval", "--dataset", str(synth_dir / "dataset.jsonl"), "--kb", str(kb),
+            "--checkpoint", str(ckpt)]
+
+
+def _kb_narrower_than_checkpoint(tmp_path, synth_dir, ckpt):
+    from freqfuse.data import KnowledgeEntry, save_knowledge_base
+
+    kb = tmp_path / "narrow-kb.jsonl"
+    save_knowledge_base(str(kb), [KnowledgeEntry(f"n{i}", "narrow", np.eye(8)[i]) for i in range(3)])
+    return _eval_args(synth_dir, ckpt, kb)
+
+
+def _ckpt_without_meta_key(tmp_path, synth_dir, ckpt):
+    blob = json.loads(ckpt.read_text())
+    del blob["meta"]["hidden1"]
+    bad = tmp_path / "no-hidden1.ckpt.json"
+    bad.write_text(json.dumps(blob))
+    return _eval_args(synth_dir, bad)
+
+
+def _ckpt_with_string_retrieval_k(tmp_path, synth_dir, ckpt):
+    blob = json.loads(ckpt.read_text())
+    blob["meta"]["train_config"]["retrieval_k"] = "3"
+    bad = tmp_path / "string-k.ckpt.json"
+    bad.write_text(json.dumps(blob))
+    return _eval_args(synth_dir, bad)
+
+
+def _ckpt_not_an_object(tmp_path, synth_dir, ckpt):
+    bad = tmp_path / "list.ckpt.json"
+    bad.write_text("[1, 2, 3]")
+    return _eval_args(synth_dir, bad)
+
+
+def _config_line(line):
+    def build(tmp_path, synth_dir, ckpt):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        return ["train", "--config", str(cfg), "--dataset", str(synth_dir / "dataset.jsonl"),
+                "--out-dir", str(tmp_path / "out")]
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (_query_of_wrong_width, EXIT_DATA),
+        (_kb_narrower_than_checkpoint, EXIT_DATA),
+        (_ckpt_without_meta_key, EXIT_DATA),
+        (_ckpt_with_string_retrieval_k, EXIT_DATA),
+        (_ckpt_not_an_object, EXIT_DATA),
+        (_config_line("max_epochs = ten"), EXIT_USAGE),
+        (_config_line("seed = 1.5"), EXIT_USAGE),
+        (_config_line("workers = two"), EXIT_USAGE),
+    ],
+    ids=[
+        "retrieve-query-width",
+        "eval-kb-width",
+        "ckpt-missing-meta-key",
+        "ckpt-train-config-type",
+        "ckpt-not-object",
+        "config-max-epochs",
+        "config-seed",
+        "config-workers",
+    ],
+)
+def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,
+                                             tmp_path, capsys):
+    argv = build(tmp_path, synth_dir, knowledge_ckpt)
+    capsys.readouterr()
+    assert run(argv) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("freqfuse: ")
+
+
+@pytest.mark.parametrize(
+    "command, csv_name, extra",
+    [("train", "metrics.csv", []), ("ablate", "ablation.csv", ["--fold", "0"])],
+)
+def test_workers_match_serial_run(synth_dir, tmp_path, capsys, command, csv_name, extra):
+    args = [
+        command,
+        "--dataset", str(synth_dir / "dataset.jsonl"),
+        "--kb", str(synth_dir / "kb.jsonl"),
+        "--seed", "3",
+        "--folds", "2",
+        "--max-epochs", "1",
+        "--hidden1", "16",
+        "--hidden2", "8",
+        "--batch-size", "8",
+        "--fusion-mode", "freq_plus_knowledge",
+    ] + extra
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run(args + ["--out-dir", str(serial)]) == EXIT_OK
+    assert run(args + ["--out-dir", str(pooled), "--workers", "2"]) == EXIT_OK
+    capsys.readouterr()
+    assert (serial / csv_name).read_bytes() == (pooled / csv_name).read_bytes()
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "freqfuse.cli", "--help"], capture_output=True, text=True

@@ -21,7 +21,7 @@ def test_impulse_is_flat():
 
 
 def test_matches_naive_oracle_across_sizes():
-    for d in (4, 12, 64, 256):  # 12 exercises the non-power-of-two path
+    for d in (4, 12, 64, 256):  # 12 is not a power of two
         rng = named_stream(d, "test-dft")
         x = rng.standard_normal(d)
         assert rel_err(dft(x), naive_dft(x)) <= 1e-9

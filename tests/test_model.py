@@ -12,6 +12,7 @@ from freqfuse.model import (
     init_classifier_params,
     init_model_params,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 from freqfuse.retrieval import KnowledgeBase
@@ -177,7 +178,8 @@ def test_checkpoint_round_trip(tmp_path):
         tensor.data += 0.01 * rng.standard_normal(tensor.shape)
     path = tmp_path / "model.ckpt.json"
     save_checkpoint(str(path), params, extra_meta={"note": "round trip"})
-    loaded = load_checkpoint(str(path))
+    loaded, meta = read_checkpoint(str(path))
+    assert meta["note"] == "round trip"
     for name, tensor in params.named().items():
         assert np.array_equal(loaded.named()[name].data, tensor.data), name
     q = rng.standard_normal((2, 300))
@@ -217,3 +219,16 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
     path.write_text("not json")
     with pytest.raises(DataError, match="JSON"):
         load_checkpoint(str(path))
+
+    save_checkpoint(str(path), params)
+    good = json.loads(path.read_text())
+    for corrupt in (
+        lambda b: b["meta"].update(hidden1="wide"),
+        lambda b: b["params"]["cls.b3"].pop("data"),
+        lambda b: b["params"]["cls.b3"].update(data=[0.0]),
+    ):
+        blob = json.loads(json.dumps(good))
+        corrupt(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))

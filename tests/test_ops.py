@@ -6,15 +6,18 @@ from freqfuse.kernel import GradTape, Tensor, ops
 from freqfuse.rng import named_stream
 
 
+# the matvec cases are ops.linear applied to a single (n,) vector
+
+
 def test_matvec_identity_passes_through():
     x = Tensor([1.0, -2.0, 3.0])
-    out = ops.matvec(Tensor(np.eye(3)), x, Tensor(np.zeros(3)))
+    out = ops.linear(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.array_equal(out.data, x.data)
 
 
 def test_matvec_zero_weight_returns_bias():
     b = Tensor([5.0, -1.0])
-    out = ops.matvec(Tensor(np.zeros((2, 3))), Tensor(np.ones(3)), b)
+    out = ops.linear(Tensor(np.ones(3)), Tensor(np.zeros((2, 3))), b)
     assert np.array_equal(out.data, b.data)
 
 
@@ -23,7 +26,8 @@ def test_matvec_matches_double_loop():
     w = rng.standard_normal((4, 6))
     x = rng.standard_normal(6)
     b = rng.standard_normal(4)
-    out = ops.matvec(Tensor(w), Tensor(x), Tensor(b))
+    out = ops.linear(Tensor(x), Tensor(w), Tensor(b))
+    assert out.shape == (4,)
     expect = np.zeros(4)
     for i in range(4):
         acc = b[i]
@@ -35,9 +39,11 @@ def test_matvec_matches_double_loop():
 
 def test_matvec_shape_mismatch():
     with pytest.raises(DimensionError):
-        ops.matvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(4)), Tensor(np.zeros(2)))
+        ops.linear(Tensor(np.zeros(4)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
-        ops.matvec(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        ops.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ops.linear(Tensor(np.zeros(3)), Tensor(np.zeros(3)), Tensor(np.zeros(1)))
 
 
 def test_linear_rows_match_matvec():
@@ -47,7 +53,7 @@ def test_linear_rows_match_matvec():
     x = rng.standard_normal((4, 3))
     batched = ops.linear(Tensor(x), Tensor(w), Tensor(b))
     for i in range(4):
-        row = ops.matvec(Tensor(w), Tensor(x[i]), Tensor(b))
+        row = ops.linear(Tensor(x[i]), Tensor(w), Tensor(b))
         assert np.allclose(batched.data[i], row.data, atol=1e-14)
 
 

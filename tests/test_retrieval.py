@@ -16,7 +16,6 @@ from freqfuse.retrieval import (
     density,
     fidelity,
     fidelity_general,
-    form_query,
     normalize_to_state,
     retrieve,
     retrieve_batch,
@@ -135,18 +134,12 @@ def test_general_path_mixed_states():
     assert abs(f - fidelity(pure, mix)) <= 1e-9
 
 
-def test_form_query_midpoint():
+def test_retrieve_rejects_cancelled_zero_query():
+    # exact cancellation of the two query halves gives a zero query
     t = np.array([1.0, 2.0])
-    v = np.array([3.0, -2.0])
-    assert np.array_equal(form_query(t, v), [2.0, 0.0])
-    assert np.array_equal(form_query(t, t), t)
-    with pytest.raises(ContractError):
-        form_query(np.zeros(3), np.zeros(4))
-    # exact cancellation produces a zero query that retrieval then rejects
-    cancelled = form_query(t, -t)
     kb = KnowledgeBase([entry(0, [1.0, 0.0])])
     with pytest.raises(DegenerateInputError):
-        retrieve(cancelled, kb, k=1)
+        retrieve(0.5 * (t + -t), kb, k=1)
 
 
 def test_kb_validation():
@@ -266,3 +259,37 @@ def test_retrieve_batch_matches_single():
     queries[2] = 0.0
     with pytest.raises(DegenerateInputError):
         retrieve_batch(queries, kb)
+
+
+def test_retrieve_batch_rejects_bad_tau_and_width():
+    kb = KnowledgeBase([entry(0, [1.0, 0.0]), entry(1, [0.0, 1.0])])
+    queries = np.array([[1.0, 0.5], [0.2, 1.0]])
+    for tau in (0.0, -1.0):
+        with pytest.raises(ConfigError):
+            retrieve_batch(queries, kb, k=2, tau=tau)
+    with pytest.raises(ContractError):
+        retrieve_batch(np.ones((2, 3)), kb, k=1)
+    with pytest.raises(ContractError):
+        retrieve(np.ones(3), kb, k=1)
+
+
+def test_single_and_batch_agree_with_ties_at_k():
+    # entries 1, 2 and 3 tie for the 2nd and 3rd places of the first query
+    # and 4, 5 tie for the 1st and 2nd of the second; ties keep entry order
+    kb = KnowledgeBase(
+        [
+            entry(0, [1.0, 0.0, 0.0]),
+            entry(1, [0.0, 1.0, 0.0]),
+            entry(2, [0.0, 2.0, 0.0]),
+            entry(3, [0.0, -1.0, 0.0]),
+            entry(4, [0.0, 0.0, 1.0]),
+            entry(5, [0.0, 0.0, 3.0]),
+        ]
+    )
+    queries = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    agg = retrieve_batch(queries, kb, k=3)
+    singles = [retrieve(q, kb, k=3) for q in queries]
+    assert list(singles[0].indices) == [0, 1, 2]
+    assert list(singles[1].indices) == [4, 5, 0]
+    for row, single in zip(agg, singles):
+        assert np.max(np.abs(row - single.k_agg)) <= 1e-12
