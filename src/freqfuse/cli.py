@@ -225,12 +225,23 @@ def _load_kb(path: str | None) -> KnowledgeBase | None:
     return KnowledgeBase(data_mod.load_knowledge_base(path))
 
 
-def _train_one_fold_job(payload) -> FoldResult:
-    dataset_path, kb_path, config, fold = payload
-    manifest, samples = data_mod.load_dataset(dataset_path)
-    kb = _load_kb(kb_path)
+def _train_one_fold(inputs, config: TrainConfig, fold: int) -> FoldResult:
+    manifest, samples, kb = inputs
     fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
     return train_fold(manifest, samples, kb, config, fold_ids, fold)
+
+
+# the parsed (manifest, samples, kb) of a pool worker, handed over once at its start
+_worker_inputs = None
+
+
+def _init_worker(inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_fold_job(job) -> FoldResult:
+    return _train_one_fold(_worker_inputs, *job)
 
 
 def _fold_payload(result: FoldResult) -> dict:
@@ -263,12 +274,20 @@ def cmd_synth(args, file_values) -> int:
     return EXIT_OK
 
 
-def _run_fold_jobs(jobs, workers: int) -> list[FoldResult]:
-    """Train every (dataset, kb, config, fold) job; results keep job order."""
+def _load_train_inputs(dataset_path: str, kb_path: str | None):
+    """Parse the dataset and KB once, before any job or worker starts."""
+    manifest, samples = data_mod.load_dataset(dataset_path)
+    return manifest, samples, _load_kb(kb_path)
+
+
+def _run_fold_jobs(inputs, jobs, workers: int) -> list[FoldResult]:
+    """Train every (config, fold) job on the parsed inputs; results keep job order."""
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_train_one_fold_job, jobs))
-    return [_train_one_fold_job(job) for job in jobs]
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(inputs,)
+        ) as pool:
+            return list(pool.map(_worker_fold_job, jobs))
+    return [_train_one_fold(inputs, *job) for job in jobs]
 
 
 def cmd_train(args, file_values) -> int:
@@ -278,8 +297,9 @@ def cmd_train(args, file_values) -> int:
     workers = _resolve(args, file_values, "workers", 1, int)
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
-    jobs = [(dataset_path, kb_path, config, fold) for fold in folds]
-    results = dict(zip(folds, _run_fold_jobs(jobs, workers)))
+    inputs = _load_train_inputs(dataset_path, kb_path)
+    jobs = [(config, fold) for fold in folds]
+    results = dict(zip(folds, _run_fold_jobs(inputs, jobs, workers)))
 
     rows = [("train", fold, results[fold].metrics) for fold in folds]
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
@@ -354,6 +374,8 @@ def cmd_retrieve(args, file_values) -> int:
             raise DataError(f"{args.queries} line {lineno}: not a JSON number array") from exc
         if vec.ndim != 1:
             raise DataError(f"{args.queries} line {lineno}: expected a flat vector")
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"{args.queries} line {lineno}: query contains NaN or Inf")
         result = retrieve(vec, kb, k=args.k, tau=args.tau, similarity=args.similarity)
         outputs.append(
             json.dumps(
@@ -416,12 +438,9 @@ def cmd_ablate(args, file_values) -> int:
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
     variants = variant_configs(config)
-    jobs = [
-        (dataset_path, kb_path, variants[variant], fold)
-        for variant in VARIANT_ORDER
-        for fold in folds
-    ]
-    results = iter(_run_fold_jobs(jobs, workers))
+    inputs = _load_train_inputs(dataset_path, kb_path)
+    jobs = [(variants[variant], fold) for variant in VARIANT_ORDER for fold in folds]
+    results = iter(_run_fold_jobs(inputs, jobs, workers))
 
     rows = []
     summary = {}

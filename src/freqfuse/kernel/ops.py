@@ -8,7 +8,7 @@ the last axis.
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import ConfigError, DegenerateInputError, DimensionError
 from .tensor import GradTape, Tensor
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi), tanh-form gelu
@@ -298,8 +298,6 @@ def row_norms(x: Tensor, tape: GradTape | None = None, tiny: float = 1e-12) -> T
 
 def rownorm(x: Tensor, tape: GradTape | None = None, tiny: float = 1e-12) -> Tensor:
     """Scale each row to unit L2 norm; zero rows are a degenerate input."""
-    from ..errors import DegenerateInputError
-
     n = np.sqrt((x.data**2).sum(axis=-1, keepdims=True))
     if np.any(n <= tiny):
         raise DegenerateInputError("cannot normalize a (near-)zero row")

@@ -118,11 +118,11 @@ class RetrievalResult:
 
 
 def _similarities(qn: np.ndarray, kb: KnowledgeBase, similarity: str) -> np.ndarray:
-    cos = qn @ kb.unit.T
+    sims = qn @ kb.unit.T
     if similarity == "fidelity":
-        return cos * cos
+        return np.multiply(sims, sims, out=sims)
     if similarity == "cosine":
-        return cos
+        return sims
     raise ConfigError(f"unknown similarity {similarity!r}")
 
 
@@ -139,12 +139,23 @@ def _top_k(
         raise ContractError(
             f"query width {queries.shape[1]} does not match knowledge base width {kb.d_model}"
         )
+    finite = np.isfinite(queries).all(axis=1)
+    if not finite.all():
+        raise ContractError(f"query row {int(np.argmin(finite))} contains NaN or Inf")
     norms = np.linalg.norm(queries, axis=1)
     if np.any(norms <= NORM_EPS):
         raise DegenerateInputError("cannot normalize a (near-)zero query vector")
     sims = _similarities(queries / norms[:, None], kb, similarity)
-    # stable sort on the negated scores keeps ties in entry order
-    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    # O(N) selection of each row's k-th best score; the entries at or above it
+    # are k, or more when scores tie at the boundary. Sorting only those
+    # candidates by (-sim, entry index) keeps ties in entry order.
+    n = sims.shape[1]
+    kth = np.partition(sims, n - k, axis=1)[:, n - k]
+    rows, cols = np.divmod(np.flatnonzero(sims >= kth[:, None]), n)
+    ranked = np.lexsort((cols, -sims[rows, cols], rows))
+    # rows come out sorted, so each row's candidates start at its first position
+    starts = np.searchsorted(rows, np.arange(len(queries)))
+    order = cols[ranked[starts[:, None] + np.arange(k)]]
     top = np.take_along_axis(sims, order, axis=1)
     return order, top, ops.softmax(Tensor(top / tau)).data
 

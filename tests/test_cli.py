@@ -377,6 +377,47 @@ def _ckpt_not_an_object(tmp_path, synth_dir, ckpt):
     return _eval_args(synth_dir, bad)
 
 
+def _retrieve_args(synth_dir, queries, *extra):
+    return ["retrieve", "--kb", str(synth_dir / "kb.jsonl"), "--queries", str(queries), *extra]
+
+
+def _retrieve_flags(*extra):
+    def build(tmp_path, synth_dir, ckpt):
+        from freqfuse.data import load_knowledge_base
+
+        queries = tmp_path / "q.jsonl"
+        embedding = load_knowledge_base(str(synth_dir / "kb.jsonl"))[0].embedding
+        queries.write_text(json.dumps(list(embedding)) + "\n")
+        return _retrieve_args(synth_dir, queries, *extra)
+
+    return build
+
+
+def _query_line_with_nan(tmp_path, synth_dir, ckpt):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("[" + ", ".join(["1.0"] * 15 + ["NaN"]) + "]\n")
+    return _retrieve_args(synth_dir, queries)
+
+
+def _kb_line_with_nan(tmp_path, synth_dir, ckpt):
+    lines = (synth_dir / "kb.jsonl").read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["embedding"][0] = float("nan")
+    lines[1] = json.dumps(obj)
+    kb = tmp_path / "nan-kb.jsonl"
+    kb.write_text("\n".join(lines) + "\n")
+    return _eval_args(synth_dir, ckpt, kb)
+
+
+def _dataset_cut_mid_line(tmp_path, synth_dir, ckpt):
+    text = (synth_dir / "dataset.jsonl").read_text()
+    last = text.rstrip("\n").rsplit("\n", 1)[1]
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text(text[: len(text.rstrip("\n")) - len(last) // 2])
+    return ["train", "--dataset", str(cut), "--out-dir", str(tmp_path / "out"),
+            "--max-epochs", "1"]
+
+
 def _config_line(line):
     def build(tmp_path, synth_dir, ckpt):
         cfg = tmp_path / "bad.cfg"
@@ -398,6 +439,11 @@ def _config_line(line):
         (_config_line("max_epochs = ten"), EXIT_USAGE),
         (_config_line("seed = 1.5"), EXIT_USAGE),
         (_config_line("workers = two"), EXIT_USAGE),
+        (_retrieve_flags("--k", "100"), EXIT_USAGE),
+        (_retrieve_flags("--tau", "0"), EXIT_USAGE),
+        (_kb_line_with_nan, EXIT_DATA),
+        (_dataset_cut_mid_line, EXIT_DATA),
+        (_query_line_with_nan, EXIT_DATA),
     ],
     ids=[
         "retrieve-query-width",
@@ -408,6 +454,11 @@ def _config_line(line):
         "config-max-epochs",
         "config-seed",
         "config-workers",
+        "retrieve-k-above-kb-size",
+        "retrieve-tau-zero",
+        "kb-nan-embedding",
+        "dataset-cut-mid-line",
+        "retrieve-query-nan",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,
@@ -419,6 +470,41 @@ def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowled
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("freqfuse: ")
+
+
+def test_ablate_parses_dataset_and_kb_once(synth_dir, tmp_path, monkeypatch, capsys):
+    from freqfuse import data as data_mod
+
+    calls = {"dataset": 0, "kb": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(data_mod, "load_dataset", counted("dataset", data_mod.load_dataset))
+    monkeypatch.setattr(
+        data_mod, "load_knowledge_base", counted("kb", data_mod.load_knowledge_base)
+    )
+    code = run(
+        [
+            "ablate",
+            "--dataset", str(synth_dir / "dataset.jsonl"),
+            "--kb", str(synth_dir / "kb.jsonl"),
+            "--out-dir", str(tmp_path / "abl"),
+            "--seed", "3",
+            "--folds", "2",
+            "--fold", "0",
+            "--max-epochs", "1",
+            "--hidden1", "16",
+            "--hidden2", "8",
+        ]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert calls == {"dataset": 1, "kb": 1}
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from freqfuse.retrieval import (
     retrieve,
     retrieve_batch,
 )
+from freqfuse.kernel import Tensor, ops
 from freqfuse.rng import named_stream
 
 
@@ -293,3 +294,70 @@ def test_single_and_batch_agree_with_ties_at_k():
     assert list(singles[1].indices) == [4, 5, 0]
     for row, single in zip(agg, singles):
         assert np.max(np.abs(row - single.k_agg)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad_row", [0, 2, 4])
+def test_non_finite_query_row_is_rejected(bad_row):
+    kb = KnowledgeBase([entry(i, np.eye(3)[i % 3] * (i + 1)) for i in range(6)])
+    for value in (np.nan, np.inf, -np.inf):
+        queries = np.ones((5, 3))
+        queries[bad_row, 1] = value
+        with pytest.raises(ContractError, match=f"row {bad_row}"):
+            retrieve_batch(queries, kb, k=3)
+        with pytest.raises(ContractError):
+            retrieve(queries[bad_row], kb, k=3)
+
+
+def _tie_heavy_kb(rng, n, d=4):
+    # integer-valued directions, drawn with repeats and scaled by exact powers
+    # of two, so many entries score exactly alike against any query
+    pool = rng.integers(-2, 3, size=(max(1, n // 8), d)).astype(float)
+    pool[~pool.any(axis=1)] = 1.0
+    vecs = pool[rng.integers(0, len(pool), size=n)] * rng.choice([0.5, 1.0, 4.0], size=(n, 1))
+    return KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
+
+
+def _oracle_top_k(scores, k):
+    # full stable ranking by (-score, entry index), independent of _top_k
+    positions = np.arange(scores.shape[-1])
+    return np.stack([np.lexsort((positions, -row))[:k] for row in scores])
+
+
+def test_top_k_matches_full_sort_oracle_with_ties():
+    boundary_ties = 0
+    for n in (1, 2, 8, 1000):
+        for trial in range(4):
+            rng = named_stream(trial, "test-topk-oracle", n)
+            kb = _tie_heavy_kb(rng, n)
+            # rows copied from entries tie with their duplicates; gaussian rows
+            # almost never tie; integer rows fall in between
+            queries = np.concatenate(
+                [
+                    kb.embeddings[rng.integers(0, n, size=3)],
+                    rng.integers(-2, 3, size=(3, kb.d_model)).astype(float),
+                    rng.standard_normal((3, kb.d_model)),
+                ]
+            )
+            queries = queries[rng.permutation(len(queries))]
+            queries[~queries.any(axis=1)] = 1.0
+            for k in sorted({1, max(1, n // 2), n}):
+                for similarity in ("fidelity", "cosine"):
+                    cos = (queries / np.linalg.norm(queries, axis=1)[:, None]) @ kb.unit.T
+                    scores = cos * cos if similarity == "fidelity" else cos
+                    expect = _oracle_top_k(scores, k)
+                    ranked = np.sort(scores, axis=1)[:, ::-1]
+                    if k < n:
+                        boundary_ties += int(np.sum(ranked[:, k - 1] == ranked[:, k]))
+                    weights = ops.softmax(
+                        Tensor(np.take_along_axis(scores, expect, axis=1) / 0.1)
+                    ).data
+                    agg = retrieve_batch(queries, kb, k=k, similarity=similarity)
+                    want = np.einsum("bk,bkd->bd", weights, kb.embeddings[expect])
+                    assert np.array_equal(agg, want), (n, trial, k, similarity)
+                    for q in queries:
+                        single = retrieve(q, kb, k=k, similarity=similarity)
+                        qn = q / np.linalg.norm(q)
+                        cos1 = (qn[None, :] @ kb.unit.T)[0]
+                        score1 = cos1 * cos1 if similarity == "fidelity" else cos1
+                        assert list(single.indices) == list(_oracle_top_k(score1[None], k)[0])
+    assert boundary_ties > 50
