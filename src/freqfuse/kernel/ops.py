@@ -167,7 +167,8 @@ def sigmoid(x: Tensor, tape: GradTape | None = None) -> Tensor:
 def gelu(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """Tanh-form gelu: 0.5 x (1 + tanh(c (x + a x^3)))."""
     xd = x.data
-    th = np.tanh(_GELU_C * (xd + _GELU_A * xd**3))
+    x2 = xd * xd
+    th = np.tanh(_GELU_C * (xd + _GELU_A * (x2 * xd)))
     out = Tensor(0.5 * xd * (1.0 + th))
     if tape is not None:
 
@@ -175,7 +176,7 @@ def gelu(x: Tensor, tape: GradTape | None = None) -> Tensor:
             g = out.grad
             if g is None:
                 return
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * xd**2)
+            du = _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
             dydx = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th**2) * du
             x.accumulate_grad(g * dydx)
 

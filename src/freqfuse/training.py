@@ -247,14 +247,13 @@ class FoldResult:
     history: list[EpochRecord] = field(default_factory=list)
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> dict[str, np.ndarray]:
+def _clip_gradients(grad: np.ndarray, clip_norm: float) -> None:
+    """Scale the flat gradient in place to a global L2 norm <= clip_norm (0: off)."""
     if clip_norm <= 0:
-        return grads
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        return
+    total = np.sqrt(grad @ grad)
     if total > clip_norm:
-        factor = clip_norm / total
-        grads = {name: g * factor for name, g in grads.items()}
-    return grads
+        grad *= clip_norm / total
 
 
 def train_fold(
@@ -290,7 +289,7 @@ def train_fold(
 
     best_acc = -1.0
     best_epoch = -1
-    best_snapshot = {name: t.data.copy() for name, t in named.items()}
+    best_theta = state.theta.copy()
     best_metrics: MetricsReport | None = None
     epochs_since_best = 0
     history: list[EpochRecord] = []
@@ -343,16 +342,11 @@ def train_fold(
                 total, breakdown = total_loss(ce, intra_t, intra_v, cross, tape)
                 if not np.isfinite(total.data):
                     raise NumericError(f"loss value is {float(total.data)}")
-                for t in named.values():
-                    t.zero_grad()
+                state.zero_grad()
                 tape.backward(total)
-                grads = {
-                    name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                    for name, t in named.items()
-                }
-                grads = _clip_gradients(grads, config.clip_norm)
+                _clip_gradients(state.grad, config.clip_norm)
                 step += 1
-                adam_step(named, grads, state, lr=lr, weight_decay=config.weight_decay, t=step)
+                adam_step(named, state, lr=lr, weight_decay=config.weight_decay, t=step)
             except NumericError as exc:
                 # locate numeric blow-ups so long runs fail with context
                 raise NumericError(
@@ -379,15 +373,15 @@ def train_fold(
             best_acc = val_metrics.accuracy
             best_epoch = epoch
             best_metrics = val_metrics
-            best_snapshot = {name: t.data.copy() for name, t in named.items()}
+            np.copyto(best_theta, state.theta)
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience and epochs_since_best > 0:
                 break
 
-    for name, t in named.items():
-        t.data = best_snapshot[name]
+    np.copyto(state.theta, best_theta)
+    for t in named.values():
         t.zero_grad()
     assert best_metrics is not None
     return FoldResult(

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from freqfuse.data import generate_synthetic
 from freqfuse.errors import ConfigError, NumericError
 from freqfuse.kernel import Tensor
+from freqfuse.model import load_checkpoint, save_checkpoint
 from freqfuse.retrieval import KnowledgeBase
 from freqfuse.training import (
     TrainConfig,
@@ -137,15 +140,17 @@ def test_metrics_absent_class_warns_and_excludes():
 
 
 def test_clip_gradients_global_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
-    clipped = _clip_gradients(dict(grads), 2.5)
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in clipped.values()))
-    assert abs(total - 2.5) <= 1e-12
-    assert np.allclose(clipped["a"] / clipped["b"][0], grads["a"] / grads["b"][0])
-    small = _clip_gradients(dict(grads), 100.0)
-    assert np.array_equal(small["a"], grads["a"])
-    disabled = _clip_gradients(dict(grads), 0.0)
-    assert np.array_equal(disabled["b"], grads["b"])
+    grad = np.array([3.0, 0.0, 4.0])  # a = [3, 0] and b = [4], flat
+    clipped = grad.copy()
+    _clip_gradients(clipped, 2.5)
+    assert abs(np.sqrt(float(np.sum(clipped * clipped))) - 2.5) <= 1e-12
+    assert np.allclose(clipped[:2] / clipped[2], grad[:2] / grad[2])
+    small = grad.copy()
+    _clip_gradients(small, 100.0)
+    assert np.array_equal(small, grad)
+    disabled = grad.copy()
+    _clip_gradients(disabled, 0.0)
+    assert np.array_equal(disabled, grad)
 
 
 def test_noiseless_data_reaches_perfect_accuracy_fast(clean_data):
@@ -222,6 +227,25 @@ def test_restored_params_match_best_epoch(clean_data):
         res.params, questions[val], images[val], labels_array(samples)[val], kb, cfg
     )
     assert again.accuracy == res.metrics.accuracy
+
+
+def test_fold_returns_standalone_best_epoch_params(clean_data, tmp_path):
+    manifest, samples, kb = clean_data
+    cfg = small_config(max_epochs=3, hidden1=64, hidden2=32)
+    fold_ids = make_folds(samples, k=cfg.folds, seed=cfg.seed)
+    res = train_fold(manifest, samples, kb, cfg, fold_ids, 0)
+    assert res.best_epoch < len(res.history) - 1  # the restore is exercised
+    # training stopped at the best epoch ends with that epoch's parameters
+    at_best = train_fold(
+        manifest, samples, kb, replace(cfg, max_epochs=res.best_epoch + 1), fold_ids, 0
+    )
+    path = tmp_path / "best.json"
+    save_checkpoint(str(path), res.params)
+    loaded = load_checkpoint(str(path)).named()
+    for name, t in res.params.named().items():
+        assert t.data.flags.c_contiguous and t.grad is None, name
+        assert np.array_equal(t.data, at_best.params.named()[name].data), name
+        assert np.array_equal(loaded[name].data, t.data), name
 
 
 def test_non_finite_loss_aborts_with_location(clean_data, monkeypatch):
