@@ -106,30 +106,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    parser.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    parser.add_argument("--lr-decay", dest="lr_decay", type=float, default=None)
-    parser.add_argument("--lr-decay-every", dest="lr_decay_every", type=int, default=None)
-    parser.add_argument("--patience", type=int, default=None)
-    parser.add_argument("--folds", type=int, default=None)
-    parser.add_argument("--clip-norm", dest="clip_norm", type=float, default=None)
-    parser.add_argument("--dropout", type=float, default=None)
-    parser.add_argument("--hidden1", type=int, default=None)
-    parser.add_argument("--hidden2", type=int, default=None)
-    parser.add_argument("--k-filters", dest="k_filters", type=int, default=None)
-    parser.add_argument("--retrieval-k", dest="retrieval_k", type=int, default=None)
-    parser.add_argument("--retrieval-tau", dest="retrieval_tau", type=float, default=None)
-    parser.add_argument("--aug-sigma", dest="aug_sigma", type=float, default=None)
-    for flag in ("frequency", "retrieval", "contrastive", "co-selection", "tie-filters"):
-        parser.add_argument(f"--{flag}", dest=flag.replace("-", "_"), choices=["on", "off"],
-                            default=None)
-    parser.add_argument("--similarity", choices=["fidelity", "cosine"], default=None)
-    parser.add_argument("--fusion-mode", dest="fusion_mode",
-                        choices=["freq_only", "freq_plus_knowledge"], default=None)
-    parser.add_argument("--contrastive-space", dest="contrastive_space",
-                        choices=["spatial", "enhanced"], default=None)
+    """One --<field> flag per TrainConfig field but the common --seed; values
+    are parsed and checked as config-file values are."""
+    for key, kind in _CONFIG_KEYS.items():
+        if key != "seed":
+            choices = ["on", "off"] if kind is bool else None
+            parser.add_argument(f"--{key.replace('_', '-')}", dest=key, choices=choices)
     parser.add_argument("--fold", action="append", type=int, default=None,
                         help="train only these folds (repeatable); default all")
 
@@ -187,7 +169,7 @@ def build_parser() -> _Parser:
 
 def _resolve(args, file_values: dict[str, str], key: str, default=None, kind: type = str):
     """The flag's value, else the config file's, else the default; strings
-    (file values and on/off switches) are parsed as `kind`."""
+    (file and train-flag values) are parsed as `kind`."""
     value = getattr(args, key, None)
     if value is None:
         value = file_values.get(key, default)
@@ -248,7 +230,7 @@ def _fold_payload(result: FoldResult) -> dict:
     return {
         "fold": result.fold,
         "best_epoch": result.best_epoch,
-        "metrics": result.metrics.as_dict(),
+        "metrics": asdict(result.metrics),
         "history": [asdict(h) for h in result.history],
     }
 
@@ -348,7 +330,7 @@ def cmd_eval(args, file_values) -> int:
         kb,
         config,
     )
-    payload = json.dumps({"metrics": report.as_dict()}, indent=2) + "\n"
+    payload = json.dumps({"metrics": asdict(report)}, indent=2) + "\n"
     out_dir = _resolve(args, file_values, "out_dir")
     if out_dir:
         data_mod.atomic_write_text(os.path.join(out_dir, "metrics.json"), payload)

@@ -76,45 +76,36 @@ def _weighted_scalar(x: Tensor, rng: np.random.Generator, tape: GradTape | None)
     return _scalar(ops.mul(x, w, tape), tape)
 
 
-def _suite_linear_vector(seed: int) -> float:
-    rng = named_stream(seed, "gc-vec")
-    w = Tensor(rng.standard_normal((3, 4)))
-    x = Tensor(rng.standard_normal(4))
-    b = Tensor(rng.standard_normal(3))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(ops.linear(x, w, b, tape), named_stream(seed, "gc-vec-w"), tape),
-        {"x": x, "w": w, "b": b},
-    )
+def _single_op_suite(
+    stream: str, leaves: tuple[tuple[str, tuple[int, ...]], ...], op: Callable[..., Tensor]
+) -> Callable[[int], float]:
+    """A suite checking one op on standard-normal leaves, drawn from `stream`
+    in the given order and passed to `op` by name."""
+
+    def suite(seed: int) -> float:
+        rng = named_stream(seed, stream)
+        named = {name: Tensor(rng.standard_normal(shape)) for name, shape in leaves}
+        return finite_difference_check(
+            lambda tape: _weighted_scalar(
+                op(tape=tape, **named), named_stream(seed, f"{stream}-w"), tape
+            ),
+            named,
+        )
+
+    return suite
 
 
-def _suite_projection(seed: int) -> float:
-    rng = named_stream(seed, "gc-proj")
-    x = Tensor(rng.standard_normal((3, 6)))
-    w = Tensor(rng.standard_normal((4, 6)))
-    b = Tensor(rng.standard_normal(4))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(ops.linear(x, w, b, tape), named_stream(seed, "gc-proj-w"), tape),
-        {"x": x, "w": w, "b": b},
-    )
-
-
-def _suite_matmul_nt(seed: int) -> float:
-    rng = named_stream(seed, "gc-mm")
-    a = Tensor(rng.standard_normal((3, 5)))
-    b = Tensor(rng.standard_normal((4, 5)))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(ops.matmul_nt(a, b, tape), named_stream(seed, "gc-mm-w"), tape),
-        {"a": a, "b": b},
-    )
-
-
-def _suite_dft_magnitude(seed: int) -> float:
-    rng = named_stream(seed, "gc-dft")
-    x = Tensor(rng.standard_normal((3, 8)))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(dft_magnitude(x, tape), named_stream(seed, "gc-dft-w"), tape),
-        {"x": x},
-    )
+# name, stream, leaves in draw order, op
+_SINGLE_OPS = (
+    ("linear_vector", "gc-vec", (("w", (3, 4)), ("x", (4,)), ("b", (3,))), ops.linear),
+    ("projection", "gc-proj", (("x", (3, 6)), ("w", (4, 6)), ("b", (4,))), ops.linear),
+    ("matmul_nt", "gc-mm", (("a", (3, 5)), ("b", (4, 5))), ops.matmul_nt),
+    ("dft_magnitude", "gc-dft", (("x", (3, 8)),), dft_magnitude),
+    ("gelu", "gc-gelu", (("x", (3, 8)),), ops.gelu),
+    ("sigmoid", "gc-sig", (("x", (3, 8)),), ops.sigmoid),
+    ("softmax", "gc-soft", (("x", (3, 6)),), ops.softmax),
+)
+_SINGLE = {name: _single_op_suite(stream, leaves, op) for name, stream, leaves, op in _SINGLE_OPS}
 
 
 def _suite_filter_bank(seed: int) -> float:
@@ -173,33 +164,6 @@ def _suite_layernorm(seed: int) -> float:
             ops.layernorm(x, gain, shift, tape), named_stream(seed, "gc-ln-w"), tape
         ),
         {"x": x, "gain": gain, "shift": shift},
-    )
-
-
-def _suite_gelu(seed: int) -> float:
-    rng = named_stream(seed, "gc-gelu")
-    x = Tensor(rng.standard_normal((3, 8)))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(ops.gelu(x, tape), named_stream(seed, "gc-gelu-w"), tape),
-        {"x": x},
-    )
-
-
-def _suite_sigmoid(seed: int) -> float:
-    rng = named_stream(seed, "gc-sig")
-    x = Tensor(rng.standard_normal((3, 8)))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(ops.sigmoid(x, tape), named_stream(seed, "gc-sig-w"), tape),
-        {"x": x},
-    )
-
-
-def _suite_softmax(seed: int) -> float:
-    rng = named_stream(seed, "gc-soft")
-    x = Tensor(rng.standard_normal((3, 6)))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(ops.softmax(x, tape), named_stream(seed, "gc-soft-w"), tape),
-        {"x": x},
     )
 
 
@@ -322,17 +286,17 @@ class SuiteResult:
 
 
 ALL_SUITES: list[tuple[str, Callable[[int], float]]] = [
-    ("linear_vector", _suite_linear_vector),
-    ("projection", _suite_projection),
-    ("matmul_nt", _suite_matmul_nt),
-    ("dft_magnitude", _suite_dft_magnitude),
+    ("linear_vector", _SINGLE["linear_vector"]),
+    ("projection", _SINGLE["projection"]),
+    ("matmul_nt", _SINGLE["matmul_nt"]),
+    ("dft_magnitude", _SINGLE["dft_magnitude"]),
     ("filter_bank", _suite_filter_bank),
     ("co_select_gates", _suite_gates),
     ("fusion_stage", _suite_fusion_stage),
     ("layernorm", _suite_layernorm),
-    ("gelu", _suite_gelu),
-    ("sigmoid", _suite_sigmoid),
-    ("softmax", _suite_softmax),
+    ("gelu", _SINGLE["gelu"]),
+    ("sigmoid", _SINGLE["sigmoid"]),
+    ("softmax", _SINGLE["softmax"]),
     ("dropout", _suite_dropout),
     ("norm_pool_arith", _suite_mean_mul_norms),
     ("mlp_classifier", _suite_mlp_classifier),

@@ -1,7 +1,6 @@
-"""Symmetric eigendecomposition by cyclic Jacobi rotations.
+"""Square root of a symmetric positive semidefinite matrix, on numpy's `eigh`.
 
-Adequate for the matrix sizes this package touches (d <= 512); the retrieval
-fidelity verification path runs it on d = 16 density matrices.
+The retrieval fidelity verification path runs it on small density matrices.
 """
 
 import numpy as np
@@ -12,67 +11,20 @@ from .tensor import check_finite
 SYMMETRY_TOL = 1e-10
 
 
-def hermitian_eig(a: np.ndarray, max_sweeps: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
+def psd_sqrt(a: np.ndarray, violation: float = 1e-8) -> np.ndarray:
+    """Symmetric square root of a PSD matrix via eigendecomposition.
 
-    Returns (w, v) with a = v @ diag(w) @ v.T and v.T @ v = I. Raises
-    ContractError if `a` is not symmetric within 1e-10.
+    Raises ContractError if `a` is not square or not symmetric within 1e-10,
+    or has an eigenvalue below -violation; eigenvalues in [-violation, 0) are
+    clipped to 0.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
     if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
         raise ContractError("matrix is not symmetric within 1e-10")
-    check_finite(a, "hermitian_eig input")
-    n = a.shape[0]
-    m = (a + a.T) / 2.0
-    v = np.eye(n)
-    if n == 1:
-        return m.diagonal().copy(), v
-
-    scale = max(np.max(np.abs(m)), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(m, -1) ** 2) * 2.0)
-        if off <= 1e-14 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    continue
-                # rotation angle that zeroes m[p, q]
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = m[:, p].copy()
-                rq = m[:, q].copy()
-                m[:, p] = c * rp - s * rq
-                m[:, q] = s * rp + c * rq
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                m[p, q] = 0.0
-                m[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-
-    w = m.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def psd_sqrt(a: np.ndarray, clamp: float = 1e-10, violation: float = 1e-8) -> np.ndarray:
-    """Symmetric square root of a PSD matrix via eigendecomposition.
-
-    Eigenvalues in [-clamp, 0) are clamped to 0; anything below -violation is
-    a PSD contract violation.
-    """
-    w, v = hermitian_eig(a)
+    check_finite(a, "psd_sqrt input")
+    w, v = np.linalg.eigh(a)
     if np.min(w) < -violation:
         raise ContractError(f"matrix is not PSD: eigenvalue {np.min(w):.3e}")
     w = np.clip(w, 0.0, None)

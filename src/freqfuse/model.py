@@ -8,7 +8,7 @@ then a final Linear; softmax lives in the loss, not here.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,16 +48,7 @@ class ClassifierParams:
 
     def named(self, prefix: str = "cls") -> dict[str, Tensor]:
         return {
-            f"{prefix}.w1": self.w1,
-            f"{prefix}.b1": self.b1,
-            f"{prefix}.ln1_gain": self.ln1_gain,
-            f"{prefix}.ln1_shift": self.ln1_shift,
-            f"{prefix}.w2": self.w2,
-            f"{prefix}.b2": self.b2,
-            f"{prefix}.ln2_gain": self.ln2_gain,
-            f"{prefix}.ln2_shift": self.ln2_shift,
-            f"{prefix}.w3": self.w3,
-            f"{prefix}.b3": self.b3,
+            f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self) if f.type is Tensor
         }
 
 
@@ -200,6 +191,18 @@ def classify(
     return ops.linear(h, params.w3, params.b3, tape)
 
 
+@dataclass(frozen=True)
+class ForwardOptions:
+    """Ablation switches of the forward pass; whether retrieval runs follows
+    from the parameters' fusion_mode."""
+
+    frequency: bool = True
+    co_selection: bool = True
+    similarity: str = "fidelity"
+    retrieval_k: int = 3
+    retrieval_tau: float = 0.1
+
+
 @dataclass
 class ForwardResult:
     t: Tensor
@@ -217,12 +220,7 @@ def forward_batch(
     train: bool = False,
     rng: np.random.Generator | None = None,
     tape: GradTape | None = None,
-    frequency: bool = True,
-    retrieval: bool = True,
-    co_selection: bool = True,
-    similarity: str = "fidelity",
-    retrieval_k: int = 3,
-    retrieval_tau: float = 0.1,
+    options: ForwardOptions = ForwardOptions(),
 ) -> ForwardResult:
     """Run the full pipeline on a batch.
 
@@ -242,16 +240,17 @@ def forward_batch(
             )
         v = Tensor(image_features)
     features = spectral_stage(
-        t, v, params.fusion, tape, frequency=frequency, co_selection=co_selection
+        t, v, params.fusion, tape, frequency=options.frequency, co_selection=options.co_selection
     )
     k_agg = None
     if params.fusion_mode == "freq_plus_knowledge":
-        if not retrieval:
-            raise ConfigError("freq_plus_knowledge requires retrieval enabled")
         if kb is None:
             raise ConfigError("freq_plus_knowledge requires a knowledge base")
         queries = 0.5 * (features.t_enhanced.data + features.v_enhanced.data)
-        k_agg = retrieve_batch(queries, kb, k=retrieval_k, tau=retrieval_tau, similarity=similarity)
+        k_agg = retrieve_batch(
+            queries, kb, k=options.retrieval_k, tau=options.retrieval_tau,
+            similarity=options.similarity,
+        )
     k_tensor = Tensor(k_agg) if k_agg is not None else None
     z = fuse(features.t_enhanced, features.v_enhanced, k_tensor, params.fusion_mode, tape)
     logits = classify(z, params.cls, train=train, rng=rng, tape=tape)

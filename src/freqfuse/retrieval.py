@@ -2,10 +2,11 @@
 
 Feature vectors are normalized to unit vectors (pure states); a pure state's
 density matrix is its rank-1 outer product. Fidelity between two density
-matrices is (Tr sqrt(sqrt(rho_q) rho_k sqrt(rho_q)))^2, which for two pure
-states collapses to the squared inner product of the unit vectors. Retrieval
-uses the pure-state form; the general eigendecomposition path exists so the
-two can be checked against each other.
+matrices is Uhlmann's ||sqrt(rho_q) sqrt(rho_k)||_1^2, the squared sum of the
+singular values of the product of the two square roots; it is symmetric by
+construction and for two pure states collapses to the squared inner product
+of the unit vectors. Retrieval uses the pure-state form; the general path
+exists so the two can be checked against each other.
 
 Retrieval is a non-differentiated lookup: similarities are computed from
 plain arrays and no gradient flows into the knowledge base or through the
@@ -71,15 +72,12 @@ def fidelity(rho_q: DensityMatrix, rho_k: DensityMatrix) -> float:
     if rho_q.state is not None and rho_k.state is not None:
         overlap = float(rho_q.state.amplitudes @ rho_k.state.amplitudes)
         return float(np.clip(overlap * overlap, 0.0, 1.0))
-    sq = psd_sqrt(rho_q.rho)
-    inner = sq @ rho_k.rho @ sq
-    root = psd_sqrt(0.5 * (inner + inner.T))
-    value = float(np.trace(root)) ** 2
-    return float(np.clip(value, 0.0, 1.0))
+    singular = np.linalg.svd(psd_sqrt(rho_q.rho) @ psd_sqrt(rho_k.rho), compute_uv=False)
+    return float(np.clip(np.sum(singular) ** 2, 0.0, 1.0))
 
 
 def fidelity_general(rho_q: DensityMatrix, rho_k: DensityMatrix) -> float:
-    """Eigendecomposition path regardless of rank; verification oracle."""
+    """General (Uhlmann) path regardless of rank; verification oracle."""
     return fidelity(DensityMatrix(rho_q.rho), DensityMatrix(rho_k.rho))
 
 

@@ -7,7 +7,7 @@ config seed, so identical (config, data) reruns produce identical metrics.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .data import (
 from .errors import ConfigError, NumericError
 from .kernel import AdamState, GradTape, Tensor, adam_step, ops
 from .losses import TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
-from .model import ModelParams, forward_batch, init_model_params
+from .model import ForwardOptions, ModelParams, forward_batch, init_model_params
 from .retrieval import KnowledgeBase
 from .rng import named_stream
 
@@ -87,10 +87,21 @@ class TrainConfig:
             raise ConfigError(f"similarity must be fidelity or cosine, got {self.similarity!r}")
         if self.fusion_mode not in ("freq_only", "freq_plus_knowledge"):
             raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
+        if self.fusion_mode == "freq_plus_knowledge" and not self.retrieval:
+            raise ConfigError("freq_plus_knowledge requires retrieval enabled")
         if self.contrastive_space not in ("spatial", "enhanced"):
             raise ConfigError(
                 f"contrastive_space must be spatial or enhanced, got {self.contrastive_space!r}"
             )
+
+    def forward_options(self) -> ForwardOptions:
+        return ForwardOptions(
+            frequency=self.frequency,
+            co_selection=self.co_selection,
+            similarity=self.similarity,
+            retrieval_k=self.retrieval_k,
+            retrieval_tau=self.retrieval_tau,
+        )
 
 
 def schedule_lr(base: float, epoch: int, decay: float = 0.98, every: int = 5) -> float:
@@ -124,15 +135,6 @@ class MetricsReport:
     precision: float
     recall: float
     auc: float
-
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "f1": self.f1,
-            "precision": self.precision,
-            "recall": self.recall,
-            "auc": self.auc,
-        }
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
@@ -202,17 +204,7 @@ def predict_probs(
     config: TrainConfig,
 ) -> np.ndarray:
     result = forward_batch(
-        params,
-        questions,
-        images,
-        kb,
-        train=False,
-        frequency=config.frequency,
-        retrieval=config.retrieval,
-        co_selection=config.co_selection,
-        similarity=config.similarity,
-        retrieval_k=config.retrieval_k,
-        retrieval_tau=config.retrieval_tau,
+        params, questions, images, kb, train=False, options=config.forward_options()
     )
     return ops.softmax(result.logits).data
 
@@ -286,6 +278,7 @@ def train_fold(
     )
     named = params.named()
     state = AdamState(named)
+    options = config.forward_options()
 
     best_acc = -1.0
     best_epoch = -1
@@ -315,12 +308,7 @@ def train_fold(
                     train=True,
                     rng=drop_rng,
                     tape=tape,
-                    frequency=config.frequency,
-                    retrieval=config.retrieval,
-                    co_selection=config.co_selection,
-                    similarity=config.similarity,
-                    retrieval_k=config.retrieval_k,
-                    retrieval_tau=config.retrieval_tau,
+                    options=options,
                 )
                 ce = cross_entropy(fwd.logits, labels[idx], tape)
                 if config.contrastive:
@@ -468,7 +456,7 @@ def write_metrics_csv(path: str, rows: list[tuple[str, int, MetricsReport]]) -> 
 def summarize(per_fold: list[MetricsReport]) -> dict:
     """Mean and population std (ddof 0) of each metric over folds."""
     out = {}
-    for key in ("accuracy", "f1", "precision", "recall", "auc"):
+    for key in (f.name for f in fields(MetricsReport)):
         values = np.asarray([getattr(m, key) for m in per_fold])
         out[key] = {"mean": float(values.mean()), "std": float(values.std())}
     return out

@@ -428,6 +428,14 @@ def _config_line(line):
     return build
 
 
+def _train_flags(*extra):
+    def build(tmp_path, synth_dir, ckpt):
+        return ["train", "--dataset", str(synth_dir / "dataset.jsonl"),
+                "--out-dir", str(tmp_path / "out"), *extra]
+
+    return build
+
+
 @pytest.mark.parametrize(
     "build, expected",
     [
@@ -444,6 +452,9 @@ def _config_line(line):
         (_kb_line_with_nan, EXIT_DATA),
         (_dataset_cut_mid_line, EXIT_DATA),
         (_query_line_with_nan, EXIT_DATA),
+        (_train_flags("--similarity", "dot"), EXIT_USAGE),
+        (_train_flags("--lr", "abc"), EXIT_USAGE),
+        (_train_flags("--fusion-mode", "freq_plus_knowledge", "--retrieval", "off"), EXIT_USAGE),
     ],
     ids=[
         "retrieve-query-width",
@@ -459,6 +470,9 @@ def _config_line(line):
         "kb-nan-embedding",
         "dataset-cut-mid-line",
         "retrieve-query-nan",
+        "train-similarity-dot",
+        "train-lr-not-a-number",
+        "train-knowledge-without-retrieval",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,

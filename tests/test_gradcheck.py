@@ -20,6 +20,28 @@ def test_all_suites_pass_within_budget():
     assert elapsed < 30.0
 
 
+def test_suite_names_and_order_are_pinned():
+    assert [name for name, _ in ALL_SUITES] == [
+        "linear_vector",
+        "projection",
+        "matmul_nt",
+        "dft_magnitude",
+        "filter_bank",
+        "co_select_gates",
+        "fusion_stage",
+        "layernorm",
+        "gelu",
+        "sigmoid",
+        "softmax",
+        "dropout",
+        "norm_pool_arith",
+        "mlp_classifier",
+        "cross_entropy",
+        "info_nce",
+        "full_pipeline",
+    ]
+
+
 def test_seed_changes_inputs_not_outcomes():
     a = run_all(seed=1)
     b = run_all(seed=2)

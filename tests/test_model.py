@@ -5,6 +5,7 @@ from freqfuse.data import DatasetManifest, KnowledgeEntry
 from freqfuse.errors import ConfigError, ContractError, DataError
 from freqfuse.kernel import Tensor
 from freqfuse.model import (
+    ForwardOptions,
     classify,
     forward_batch,
     fuse,
@@ -17,6 +18,7 @@ from freqfuse.model import (
 )
 from freqfuse.retrieval import KnowledgeBase
 from freqfuse.rng import named_stream
+from freqfuse.training import TrainConfig
 
 PRE = DatasetManifest(n_classes=3, d_model=8, feature_layout="precomputed")
 VIT = DatasetManifest(n_classes=3, d_model=8, feature_layout="vit")
@@ -154,8 +156,10 @@ def test_knowledge_mode_requires_kb_and_retrieval():
     with pytest.raises(ConfigError):
         forward_batch(params, q, img, kb=None)
     with pytest.raises(ConfigError):
-        forward_batch(params, q, img, kb=tiny_kb(), retrieval=False)
-    out = forward_batch(params, q, img, kb=tiny_kb())
+        TrainConfig(fusion_mode="freq_plus_knowledge", retrieval=False).validate()
+    config = TrainConfig(fusion_mode="freq_plus_knowledge")
+    config.validate()
+    out = forward_batch(params, q, img, kb=tiny_kb(), options=config.forward_options())
     assert out.k_agg.shape == (2, 8)
     assert out.logits.shape == (2, 3)
 
@@ -165,7 +169,7 @@ def test_frequency_off_feeds_projected_features():
     rng = named_stream(9, "test-freq-off-fwd")
     q = rng.standard_normal((2, 300))
     img = rng.standard_normal((2, 8))
-    out = forward_batch(params, q, img, frequency=False)
+    out = forward_batch(params, q, img, options=ForwardOptions(frequency=False))
     assert out.features.t_freq is None
     assert out.features.t_enhanced is out.t
     assert out.features.v_enhanced is out.v

@@ -123,7 +123,7 @@ def test_fast_path_matches_general_path():
 
 
 def test_general_path_mixed_states():
-    # rank-2 mixtures exercise the eigendecomposition route end to end
+    # rank-2 mixtures exercise the general (Uhlmann) route end to end
     rng = named_stream(0, "test-fid-mixed")
     a = random_state(rng, 6).amplitudes
     b = random_state(rng, 6).amplitudes
@@ -133,6 +133,23 @@ def test_general_path_mixed_states():
     f = fidelity(mix, pure)
     assert 0.0 <= f <= 1.0
     assert abs(f - fidelity(pure, mix)) <= 1e-9
+
+
+def random_density(rng, d, rank):
+    vecs = rng.standard_normal((rank, d))
+    rho = vecs.T @ vecs
+    return DensityMatrix(rho / np.trace(rho))
+
+
+def test_general_path_symmetric_on_random_mixed_states():
+    worst = 0.0
+    for trial in range(200):
+        rng = named_stream(trial, "test-fid-general-sym")
+        d = int(rng.integers(2, 17))
+        a = random_density(rng, d, d)
+        b = random_density(rng, d, min(3, d))
+        worst = max(worst, abs(fidelity(a, b) - fidelity(b, a)))
+    assert worst <= 1e-12
 
 
 def test_retrieve_rejects_cancelled_zero_query():
