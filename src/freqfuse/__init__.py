@@ -8,6 +8,7 @@ cross-validated training harness with a CLI.
 
 from .data import (
     DatasetManifest,
+    KnowledgeColumns,
     KnowledgeEntry,
     Sample,
     generate_synthetic,
@@ -44,6 +45,7 @@ __all__ = [
     "FusionParams",
     "GradTape",
     "KnowledgeBase",
+    "KnowledgeColumns",
     "KnowledgeEntry",
     "LossBreakdown",
     "MetricsReport",

@@ -69,22 +69,20 @@ def _parse_bool(text: str, key: str) -> bool:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path} line {lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS and key not in _PATH_KEYS:
-            raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
-        out[key] = value
+    try:
+        for lineno, raw in data_mod.text_lines(path, "config"):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path} line {lineno}: expected key=value")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS and key not in _PATH_KEYS:
+                raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
+            out[key] = value
+    except DataError as exc:  # unreadable or not UTF-8
+        raise ConfigError(str(exc)) from exc
     return out
 
 
@@ -321,6 +319,10 @@ def cmd_eval(args, file_values) -> int:
                 f"checkpoint {args.checkpoint}: train_config {key}={value!r} is not {kind.__name__}"
             )
     config = TrainConfig(**kwargs)
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {args.checkpoint}: train_config {exc}") from exc
     kb = _load_kb(kb_path)
     report = evaluate_arrays(
         params,
@@ -343,13 +345,10 @@ def cmd_eval(args, file_values) -> int:
 def cmd_retrieve(args, file_values) -> int:
     kb_path = _require(_resolve(args, file_values, "kb"), "--kb")
     kb = _load_kb(kb_path)
-    try:
-        with open(args.queries, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read queries {args.queries}: {exc}") from exc
     outputs = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in data_mod.text_lines(args.queries, "queries"):
+        if not line.strip():
+            continue
         try:
             vec = np.asarray(json.loads(line), dtype=np.float64)
         except (json.JSONDecodeError, ValueError, TypeError) as exc:

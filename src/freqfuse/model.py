@@ -304,6 +304,8 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"checkpoint {path} is not valid JSON: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"checkpoint {path} is not UTF-8 text") from exc
     if not isinstance(blob, dict):
         raise DataError(f"checkpoint {path} is not a JSON object")
     if blob.get("format_version") != CHECKPOINT_VERSION:

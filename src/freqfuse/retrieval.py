@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import KnowledgeEntry
+from .data import KnowledgeColumns, KnowledgeEntry
 from .errors import ConfigError, ContractError, DataError, DegenerateInputError, RetrievalError
 from .kernel import Tensor, ops, psd_sqrt
+from .kernel.eig import SYMMETRY_TOL
 
 TOP_K = 3
 SOFTMAX_TAU = 0.1
@@ -47,8 +48,10 @@ class DensityMatrix:
         self.rho = np.asarray(self.rho, dtype=np.float64)
         if self.rho.ndim != 2 or self.rho.shape[0] != self.rho.shape[1]:
             raise ContractError(f"density matrix must be square, got {self.rho.shape}")
-        if not np.allclose(self.rho, self.rho.T, atol=1e-9):
-            raise ContractError("density matrix must be symmetric")
+        # psd_sqrt's tolerance, so that every accepted matrix can be scored;
+        # a NaN fails the comparison and is rejected
+        if not np.all(np.abs(self.rho - self.rho.T) <= SYMMETRY_TOL):
+            raise ContractError(f"density matrix must be symmetric within {SYMMETRY_TOL}")
         tr = float(np.trace(self.rho))
         if abs(tr - 1.0) > 1e-9:
             raise ContractError(f"density matrix trace {tr} is not 1 within 1e-9")
@@ -81,25 +84,34 @@ def fidelity_general(rho_q: DensityMatrix, rho_k: DensityMatrix) -> float:
     return fidelity(DensityMatrix(rho_q.rho), DensityMatrix(rho_k.rho))
 
 
-class KnowledgeBase:
-    """Immutable entry store with unit-normalized rows precomputed for scoring."""
+def _columns(entries: list[KnowledgeEntry]) -> KnowledgeColumns:
+    dims = {e.embedding.shape for e in entries}
+    if len(dims) != 1 or entries[0].embedding.ndim != 1:
+        raise DataError(f"inconsistent embedding shapes: {sorted(dims)}")
+    return KnowledgeColumns(
+        ids=[e.entry_id for e in entries],
+        texts=[e.text for e in entries],
+        embeddings=np.stack([e.embedding for e in entries]),
+    )
 
-    def __init__(self, entries: list[KnowledgeEntry]):
-        if not entries:
+
+class KnowledgeBase:
+    """Immutable columns (ids, texts, embeddings) with unit-normalized rows
+    precomputed for scoring. Built from loaded columns or a list of entries."""
+
+    def __init__(self, entries: KnowledgeColumns | list[KnowledgeEntry]):
+        if not len(entries):
             raise RetrievalError("knowledge base is empty")
-        self.entries = list(entries)
-        dims = {e.embedding.shape for e in self.entries}
-        if len(dims) != 1 or self.entries[0].embedding.ndim != 1:
-            raise DataError(f"inconsistent embedding shapes: {sorted(dims)}")
-        self.embeddings = np.stack([e.embedding for e in self.entries])
+        self.columns = entries if isinstance(entries, KnowledgeColumns) else _columns(entries)
+        self.embeddings = self.columns.embeddings
         norms = np.linalg.norm(self.embeddings, axis=1)
         if np.any(norms <= NORM_EPS):
-            bad = self.entries[int(np.argmin(norms))].entry_id
+            bad = self.columns.ids[int(np.argmin(norms))]
             raise DataError(f"knowledge entry {bad!r} has zero-norm embedding")
         self.unit = self.embeddings / norms[:, None]
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.columns)
 
     @property
     def d_model(self) -> int:
@@ -170,7 +182,7 @@ def retrieve(
         raise ContractError(f"expected a (d,) query, got {q.shape}")
     (order,), (top,), (weights,) = _top_k(q[None, :], kb, k, tau, similarity)
     return RetrievalResult(
-        entries=[kb.entries[i] for i in order],
+        entries=[kb.columns[i] for i in order],
         similarities=top,
         weights=weights,
         k_agg=weights @ kb.embeddings[order],

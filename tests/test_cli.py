@@ -363,12 +363,15 @@ def _ckpt_without_meta_key(tmp_path, synth_dir, ckpt):
     return _eval_args(synth_dir, bad)
 
 
-def _ckpt_with_string_retrieval_k(tmp_path, synth_dir, ckpt):
-    blob = json.loads(ckpt.read_text())
-    blob["meta"]["train_config"]["retrieval_k"] = "3"
-    bad = tmp_path / "string-k.ckpt.json"
-    bad.write_text(json.dumps(blob))
-    return _eval_args(synth_dir, bad)
+def _ckpt_train_config(key, value):
+    def build(tmp_path, synth_dir, ckpt):
+        blob = json.loads(ckpt.read_text())
+        blob["meta"]["train_config"][key] = value
+        bad = tmp_path / "edited.ckpt.json"
+        bad.write_text(json.dumps(blob))
+        return _eval_args(synth_dir, bad)
+
+    return build
 
 
 def _ckpt_not_an_object(tmp_path, synth_dir, ckpt):
@@ -409,6 +412,59 @@ def _kb_line_with_nan(tmp_path, synth_dir, ckpt):
     return _eval_args(synth_dir, ckpt, kb)
 
 
+def _with_line_edited(source, lineno, edit):
+    """A copy of `source` whose line `lineno` (1-based) is edit(line bytes)."""
+    lines = source.read_bytes().split(b"\n")
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    return b"\n".join(lines)
+
+
+def _not_utf8(line):
+    return line.replace(b'"', b'"\xff', 1)
+
+
+def _not_utf8_file(kind):
+    def build(tmp_path, synth_dir, ckpt):
+        bad = tmp_path / f"not-utf8-{kind}"
+        if kind == "dataset":
+            bad.write_bytes(_with_line_edited(synth_dir / "dataset.jsonl", 3, _not_utf8))
+            return ["train", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")]
+        if kind == "kb":
+            bad.write_bytes(_with_line_edited(synth_dir / "kb.jsonl", 2, _not_utf8))
+            return _eval_args(synth_dir, ckpt, bad)
+        if kind == "queries":
+            bad.write_bytes(b"\n[\xff]\n")
+            return _retrieve_args(synth_dir, bad)
+        if kind == "checkpoint":
+            bad.write_bytes(_not_utf8(ckpt.read_bytes()))
+            return _eval_args(synth_dir, bad)
+        bad.write_bytes(b"max_epochs = 1\nlr = \xff\n")
+        return ["train", "--config", str(bad), "--dataset", str(synth_dir / "dataset.jsonl"),
+                "--out-dir", str(tmp_path / "out")]
+
+    return build
+
+
+def _vector_element(key, value):
+    """Line 2 of the KB ("embedding") or the dataset (the feature vectors) with
+    its first vector element replaced by `value`."""
+
+    def edit(line):
+        obj = json.loads(line)
+        obj[key][0] = value
+        return json.dumps(obj).encode()
+
+    def build(tmp_path, synth_dir, ckpt):
+        bad = tmp_path / "bad.jsonl"
+        if key == "embedding":
+            bad.write_bytes(_with_line_edited(synth_dir / "kb.jsonl", 2, edit))
+            return _eval_args(synth_dir, ckpt, bad)
+        bad.write_bytes(_with_line_edited(synth_dir / "dataset.jsonl", 2, edit))
+        return ["train", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")]
+
+    return build
+
+
 def _dataset_cut_mid_line(tmp_path, synth_dir, ckpt):
     text = (synth_dir / "dataset.jsonl").read_text()
     last = text.rstrip("\n").rsplit("\n", 1)[1]
@@ -442,7 +498,7 @@ def _train_flags(*extra):
         (_query_of_wrong_width, EXIT_DATA),
         (_kb_narrower_than_checkpoint, EXIT_DATA),
         (_ckpt_without_meta_key, EXIT_DATA),
-        (_ckpt_with_string_retrieval_k, EXIT_DATA),
+        (_ckpt_train_config("retrieval_k", "3"), EXIT_DATA),
         (_ckpt_not_an_object, EXIT_DATA),
         (_config_line("max_epochs = ten"), EXIT_USAGE),
         (_config_line("seed = 1.5"), EXIT_USAGE),
@@ -455,6 +511,22 @@ def _train_flags(*extra):
         (_train_flags("--similarity", "dot"), EXIT_USAGE),
         (_train_flags("--lr", "abc"), EXIT_USAGE),
         (_train_flags("--fusion-mode", "freq_plus_knowledge", "--retrieval", "off"), EXIT_USAGE),
+        (_not_utf8_file("dataset"), EXIT_DATA),
+        (_not_utf8_file("kb"), EXIT_DATA),
+        (_not_utf8_file("queries"), EXIT_DATA),
+        (_not_utf8_file("checkpoint"), EXIT_DATA),
+        (_not_utf8_file("config"), EXIT_USAGE),
+        (_vector_element("embedding", "x"), EXIT_DATA),
+        (_vector_element("embedding", [1.0]), EXIT_DATA),
+        (_vector_element("embedding", True), EXIT_DATA),
+        (_vector_element("image_features", "x"), EXIT_DATA),
+        (_vector_element("image_features", [1.0]), EXIT_DATA),
+        (_vector_element("image_features", True), EXIT_DATA),
+        (_vector_element("question_features", "x"), EXIT_DATA),
+        (_vector_element("question_features", [1.0]), EXIT_DATA),
+        (_vector_element("question_features", True), EXIT_DATA),
+        (_ckpt_train_config("similarity", "dot"), EXIT_DATA),
+        (_ckpt_train_config("retrieval_k", 0), EXIT_DATA),
     ],
     ids=[
         "retrieve-query-width",
@@ -473,6 +545,22 @@ def _train_flags(*extra):
         "train-similarity-dot",
         "train-lr-not-a-number",
         "train-knowledge-without-retrieval",
+        "dataset-not-utf8",
+        "kb-not-utf8",
+        "queries-not-utf8",
+        "ckpt-not-utf8",
+        "config-not-utf8",
+        "kb-embedding-string",
+        "kb-embedding-nested-list",
+        "kb-embedding-true",
+        "dataset-image-string",
+        "dataset-image-nested-list",
+        "dataset-image-true",
+        "dataset-question-string",
+        "dataset-question-nested-list",
+        "dataset-question-true",
+        "ckpt-similarity-dot",
+        "ckpt-retrieval-k-zero",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,

@@ -1,9 +1,11 @@
 import json
 import os
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
+from freqfuse import data as data_mod
 from freqfuse.data import (
     MAX_TOKENS,
     TEXT_DIM,
@@ -292,3 +294,224 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     save_dataset(str(target), manifest, samples)
     assert target.exists()
     assert os.listdir(target.parent) == ["d.jsonl"]
+
+
+def kb_line(i, embedding, text=None):
+    return json.dumps({"id": f"k{i}", "text": text or f"entry {i}", "embedding": embedding})
+
+
+def kb_vectors(n, d=4, seed=0):
+    rng = named_stream(seed, "kb-test")
+    return [[float(v) for v in rng.standard_normal(d)] for _ in range(n)]
+
+
+@pytest.fixture
+def ranges_of(monkeypatch):
+    """Force a KB file into `count` byte ranges: `count` usable cores and a
+    one-byte chunk size."""
+
+    def force(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+        monkeypatch.setattr(data_mod, "_KB_CHUNK_BYTES", 1)
+
+    return force
+
+
+def reference_columns(path):
+    """The loader's expected output, parsed one line at a time."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")
+            if line.strip()]
+    return ([r["id"] for r in rows], [r["text"] for r in rows],
+            np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in rows]))
+
+
+def assert_same_columns(cols, ids, texts, embeddings):
+    assert cols.ids == ids
+    assert cols.texts == texts
+    assert cols.embeddings.dtype == np.float64
+    assert cols.embeddings.shape == embeddings.shape
+    assert cols.embeddings.tobytes() == embeddings.tobytes()
+
+
+def test_kb_ranges_bit_identical_to_in_process(tmp_path, ranges_of):
+    vecs = kb_vectors(40)
+    lines = [kb_line(i, v) for i, v in enumerate(vecs)]
+    lines[5:5] = ["", "   "]
+    body = "\n".join(lines[:20]) + "\n" + "\r\n".join(lines[20:])  # no trailing newline
+    # pad the first text so that a line starts exactly at the middle byte, where
+    # the cut between two ranges is sought
+    pad = len(body) - 2 * body.index(lines[10])
+    body = body.replace("entry 0", "entry 0" + "x" * pad, 1)
+    p = tmp_path / "kb.jsonl"
+    p.write_bytes(body.encode())
+    raw = p.read_bytes()
+    assert raw[len(raw) // 2 - 1:len(raw) // 2] == b"\n"
+
+    in_process = load_knowledge_base(str(p))
+    assert len(data_mod._kb_ranges(str(p))) == 1
+    expected = reference_columns(p)
+    assert_same_columns(in_process, *expected)
+    for count in (2, 3):
+        ranges_of(count)
+        assert len(data_mod._kb_ranges(str(p))) == count
+        assert_same_columns(load_knowledge_base(str(p)), *expected)
+        assert_same_columns(load_knowledge_base(str(p), d_model=4), *expected)
+
+
+def test_kb_columns_index_to_entry_copies(tmp_path):
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, [kb_line(i, v) for i, v in enumerate(kb_vectors(3))])
+    cols = load_knowledge_base(str(p))
+    entry = cols[1]
+    assert isinstance(entry, KnowledgeEntry)
+    assert entry.entry_id == "k1" and entry.text == "entry 1"
+    entry.embedding[0] = 99.0
+    assert cols.embeddings[1, 0] != 99.0
+    assert [e.entry_id for e in cols] == ["k0", "k1", "k2"]
+
+
+def nan_first_value(line):
+    start = line.index("[") + 1
+    end = line.index(",", start)
+    return line[:start] + "NaN".ljust(end - start) + line[end:]
+
+
+# each fault keeps the line's length, so the cut between ranges does not move
+KB_FAULTS = {
+    "missing-key": (lambda line: line.replace('"embedding"', '"embeddinX"'),
+                    "missing required key 'embedding'"),
+    "nan": (nan_first_value, "expected 4 finite numbers"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KB_FAULTS))
+@pytest.mark.parametrize("side", ["before", "after"])
+def test_kb_fault_at_a_cut_names_its_file_line(tmp_path, ranges_of, fault, side):
+    lines = [kb_line(i, v) for i, v in enumerate(kb_vectors(30))]
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, lines)
+    ranges_of(2)
+    (_, cut), _ = data_mod._kb_ranges(str(p))
+    # the line that ends at the cut, or the one that starts there
+    lineno = p.read_bytes()[:cut].count(b"\n") + (1 if side == "after" else 0)
+    corrupt, message = KB_FAULTS[fault]
+    lines[lineno - 1] = corrupt(lines[lineno - 1])
+    write_lines(p, lines)
+    assert data_mod._kb_ranges(str(p))[0][1] == cut
+    with pytest.raises(DataError, match=rf"line {lineno}: .*{message}"):
+        load_knowledge_base(str(p))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_kb_earliest_fault_wins(tmp_path, ranges_of, count):
+    lines = [kb_line(i, v) for i, v in enumerate(kb_vectors(10))]
+    lines[2] = kb_line(2, [0.0, 0.0, 0.0, 0.0])
+    lines[6] = "{not json"
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, lines)
+    ranges_of(count)
+    assert len(data_mod._kb_ranges(str(p))) == count
+    with pytest.raises(DataError, match="line 3: embedding has zero norm"):
+        load_knowledge_base(str(p))
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_kb_width_fixed_by_first_non_blank_line(tmp_path, ranges_of, count):
+    # line 1 is blank to str.strip (U+0085); from the second range on, every
+    # row is one value narrower than the first non-blank line
+    lines = ["\x85 "] + [kb_line(i, v) for i, v in enumerate(kb_vectors(9))]
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, lines)
+    ranges_of(2)
+    (_, cut), _ = data_mod._kb_ranges(str(p))
+    narrow = p.read_bytes()[:cut].count(b"\n") + 1
+    for i in range(narrow - 1, len(lines)):  # same length, so the cut stays
+        pad = len(lines[i]) - len(kb_line(i, [1.0, 2.0, 3.0], text="-"))
+        lines[i] = kb_line(i, [1.0, 2.0, 3.0], text="-" * (pad + 1))
+    write_lines(p, lines)
+    assert data_mod._kb_ranges(str(p))[0][1] == cut
+    ranges_of(count)
+    assert len(data_mod._kb_ranges(str(p))) == count
+    with pytest.raises(DataError, match=f"line {narrow}: embedding: expected a list of 4 numbers"):
+        load_knowledge_base(str(p))
+
+
+def _load_with_ranges_forced(path):
+    """Runs in a daemonic pool worker: forces several ranges, then loads."""
+    data_mod._KB_CHUNK_BYTES = 1
+    os.sched_getaffinity = lambda pid: {0, 1, 2}
+    return len(data_mod._kb_ranges(path)), load_knowledge_base(path)
+
+
+def test_kb_load_in_daemonic_process_stays_in_process(tmp_path):
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, [kb_line(i, v) for i, v in enumerate(kb_vectors(12))])
+    with get_context("spawn").Pool(1) as pool:  # pool workers are daemonic
+        count, cols = pool.apply_async(_load_with_ranges_forced, (str(p),)).get(timeout=120)
+    assert count == 1
+    assert_same_columns(cols, *reference_columns(p))
+
+
+def test_knowledge_base_from_list_equals_from_loaded_columns(tmp_path):
+    from freqfuse.retrieval import KnowledgeBase
+
+    _, _, entries = generate_synthetic(3, 2, 16, 0.1, seed=4)
+    p = tmp_path / "kb.jsonl"
+    save_knowledge_base(str(p), entries)
+    from_list = KnowledgeBase(entries)
+    loaded = KnowledgeBase(load_knowledge_base(str(p)))
+    assert from_list.columns.ids == loaded.columns.ids
+    assert from_list.columns.texts == loaded.columns.texts
+    assert from_list.embeddings.tobytes() == loaded.embeddings.tobytes()
+    assert from_list.unit.tobytes() == loaded.unit.tobytes()
+    assert len(from_list) == len(loaded) == 6
+    assert from_list.d_model == loaded.d_model == 16
+
+
+@pytest.mark.parametrize("value", [["x", 1.0, 1.0, 1.0], [[1.0], 1.0, 1.0, 1.0],
+                                   [True, 1.0, 1.0, 1.0], ["1.5", 1.0, 1.0, 1.0]])
+def test_non_numeric_vector_elements_rejected(tmp_path, value):
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, [kb_line(0, [1.0, 0.0, 0.0, 0.0]), kb_line(1, value)])
+    with pytest.raises(DataError, match="line 2: embedding: expected 4 finite numbers"):
+        load_knowledge_base(str(p))
+    write_lines(p, [HEADER, sample_line(0), sample_line(1, image_features=value)])
+    with pytest.raises(DataError, match="line 3: image_features: expected 4 finite numbers"):
+        load_dataset(str(p))
+    obj = json.loads(sample_line(1))
+    del obj["question_tokens"]
+    obj["question_features"] = value[:1] + [0.5] * (TEXT_DIM - 1)
+    write_lines(p, [HEADER, json.dumps(obj)])
+    with pytest.raises(DataError, match=f"line 2: question_features: expected {TEXT_DIM} finite"):
+        load_dataset(str(p))
+
+
+def test_huge_integer_element_is_not_finite(tmp_path):
+    p = tmp_path / "kb.jsonl"
+    p.write_text('{"id": "a", "text": "t", "embedding": [1' + "0" * 400 + ', 1.0]}\n')
+    with pytest.raises(DataError, match="line 1: embedding: expected 2 finite numbers"):
+        load_knowledge_base(str(p))
+
+
+def test_lines_split_on_newline_only(tmp_path):
+    # U+2028 and U+0085 are line breaks to str.splitlines but not to JSON Lines
+    p = tmp_path / "kb.jsonl"
+    lines = [json.dumps({"id": "a", "text": "one\u2028two\x85", "embedding": [1.0, 0.0]},
+                        ensure_ascii=False),
+             json.dumps({"id": "b", "text": "t", "embedding": [0.0, 1.0]})]
+    write_lines(p, lines)
+    cols = load_knowledge_base(str(p))
+    assert cols.texts == ["one\u2028two\x85", "t"]
+
+
+def test_non_utf8_line_is_named(tmp_path):
+    p = tmp_path / "kb.jsonl"
+    lines = [kb_line(i, v).encode() for i, v in enumerate(kb_vectors(3))]
+    lines[1] = lines[1].replace(b"entry 1", b"entry \xff")
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError, match="line 2: not UTF-8 text"):
+        load_knowledge_base(str(p))
+    p.write_bytes(HEADER.encode() + b"\n" + sample_line(0).encode() + b"\n\xfe\n")
+    with pytest.raises(DataError, match="line 3: not UTF-8 text"):
+        load_dataset(str(p))

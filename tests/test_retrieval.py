@@ -77,6 +77,21 @@ def test_density_matrix_contract():
         DensityMatrix(np.array([[0.5, 0.2], [0.0, 0.5]]))  # asymmetric
     with pytest.raises(ContractError):
         DensityMatrix(np.ones(4))  # not a matrix
+    with pytest.raises(ContractError):
+        DensityMatrix(np.diag([np.nan, 0.5]))
+
+
+def test_every_accepted_density_matrix_can_be_scored():
+    # construction and psd_sqrt share one symmetry tolerance, 1e-10
+    def skewed(gap):
+        rho = np.diag([0.5, 0.5])
+        rho[0, 1] = gap
+        return rho
+
+    with pytest.raises(ContractError, match="symmetric"):
+        DensityMatrix(skewed(5e-10))
+    d = DensityMatrix(skewed(5e-11))
+    assert abs(fidelity(d, d) - 1.0) <= 1e-9
 
 
 def test_fidelity_self_is_one():
