@@ -13,10 +13,7 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
-
-import numpy as np
 
 from . import data as data_mod
 from .errors import (
@@ -32,14 +29,13 @@ from .kernel import dft_magnitude_raw
 from .model import read_checkpoint, save_checkpoint
 from .retrieval import KnowledgeBase, retrieve
 from .training import (
-    VARIANT_ORDER,
     FoldResult,
     TrainConfig,
+    _run_fold_jobs,
     evaluate_arrays,
     make_folds,
+    run_ablation_suite,
     summarize,
-    train_fold,
-    variant_configs,
     write_metrics_csv,
 )
 
@@ -205,25 +201,6 @@ def _load_kb(path: str | None) -> KnowledgeBase | None:
     return KnowledgeBase(data_mod.load_knowledge_base(path))
 
 
-def _train_one_fold(inputs, config: TrainConfig, fold: int) -> FoldResult:
-    manifest, samples, kb = inputs
-    fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
-    return train_fold(manifest, samples, kb, config, fold_ids, fold)
-
-
-# the parsed (manifest, samples, kb) of a pool worker, handed over once at its start
-_worker_inputs = None
-
-
-def _init_worker(inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_fold_job(job) -> FoldResult:
-    return _train_one_fold(_worker_inputs, *job)
-
-
 def _fold_payload(result: FoldResult) -> dict:
     return {
         "fold": result.fold,
@@ -260,16 +237,6 @@ def _load_train_inputs(dataset_path: str, kb_path: str | None):
     return manifest, samples, _load_kb(kb_path)
 
 
-def _run_fold_jobs(inputs, jobs, workers: int) -> list[FoldResult]:
-    """Train every (config, fold) job on the parsed inputs; results keep job order."""
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(inputs,)
-        ) as pool:
-            return list(pool.map(_worker_fold_job, jobs))
-    return [_train_one_fold(inputs, *job) for job in jobs]
-
-
 def cmd_train(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
@@ -277,9 +244,10 @@ def cmd_train(args, file_values) -> int:
     workers = _resolve(args, file_values, "workers", 1, int)
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
-    inputs = _load_train_inputs(dataset_path, kb_path)
+    manifest, samples, kb = _load_train_inputs(dataset_path, kb_path)
+    fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
     jobs = [(config, fold) for fold in folds]
-    results = dict(zip(folds, _run_fold_jobs(inputs, jobs, workers)))
+    results = dict(zip(folds, _run_fold_jobs((manifest, samples, kb, fold_ids), jobs, workers)))
 
     rows = [("train", fold, results[fold].metrics) for fold in folds]
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
@@ -314,7 +282,7 @@ def cmd_eval(args, file_values) -> int:
     kwargs = {k: v for k, v in stored.items() if k in _CONFIG_KEYS}
     for key, value in kwargs.items():
         kind = _CONFIG_KEYS[key]
-        if not isinstance(value, (int, float) if kind is float else kind):
+        if type(value) not in ((int, float) if kind is float else (kind,)):
             raise DataError(
                 f"checkpoint {args.checkpoint}: train_config {key}={value!r} is not {kind.__name__}"
             )
@@ -324,6 +292,12 @@ def cmd_eval(args, file_values) -> int:
     except ConfigError as exc:
         raise DataError(f"checkpoint {args.checkpoint}: train_config {exc}") from exc
     kb = _load_kb(kb_path)
+    k = config.retrieval_k
+    if params.fusion_mode == "freq_plus_knowledge" and kb is not None and k > len(kb):
+        raise DataError(
+            f"checkpoint {args.checkpoint}: train_config retrieval_k={k} "
+            f"exceeds the {len(kb)} entries of knowledge base {kb_path}"
+        )
     report = evaluate_arrays(
         params,
         data_mod.question_matrix(samples),
@@ -349,14 +323,17 @@ def cmd_retrieve(args, file_values) -> int:
     for lineno, line in data_mod.text_lines(args.queries, "queries"):
         if not line.strip():
             continue
+        where = f"{args.queries} line {lineno}"
         try:
-            vec = np.asarray(json.loads(line), dtype=np.float64)
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
-            raise DataError(f"{args.queries} line {lineno}: not a JSON number array") from exc
-        if vec.ndim != 1:
-            raise DataError(f"{args.queries} line {lineno}: expected a flat vector")
-        if not np.all(np.isfinite(vec)):
-            raise DataError(f"{args.queries} line {lineno}: query contains NaN or Inf")
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{where}: not a JSON number array") from exc
+        if isinstance(value, list) and len(value) != kb.d_model:
+            raise DataError(
+                f"{where}: query width {len(value)} does not match knowledge base width "
+                f"{kb.d_model}"
+            )
+        vec = data_mod._float_list(value, kb.d_model, where)
         result = retrieve(vec, kb, k=args.k, tau=args.tau, similarity=args.similarity)
         outputs.append(
             json.dumps(
@@ -418,15 +395,11 @@ def cmd_ablate(args, file_values) -> int:
     workers = _resolve(args, file_values, "workers", 1, int)
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
-    variants = variant_configs(config)
-    inputs = _load_train_inputs(dataset_path, kb_path)
-    jobs = [(variants[variant], fold) for variant in VARIANT_ORDER for fold in folds]
-    results = iter(_run_fold_jobs(inputs, jobs, workers))
+    results = run_ablation_suite(*_load_train_inputs(dataset_path, kb_path), config, folds, workers)
 
     rows = []
     summary = {}
-    for variant in VARIANT_ORDER:
-        per_fold = [next(results) for _ in folds]
+    for variant, per_fold in results.items():
         rows.extend((variant, fold, r.metrics) for fold, r in zip(folds, per_fold))
         summary[variant] = summarize([r.metrics for r in per_fold])
     write_metrics_csv(os.path.join(out_dir, "ablation.csv"), rows)

@@ -180,7 +180,7 @@ def _parse_sample(obj: dict, manifest: DatasetManifest, where: str) -> Sample:
     if not isinstance(sample_id, str) or not isinstance(image_id, str):
         raise DataError(f"{where}: id and image_id must be strings")
     answer = obj["answer_class"]
-    if not isinstance(answer, int) or not (0 <= answer < manifest.n_classes):
+    if type(answer) is not int or not (0 <= answer < manifest.n_classes):
         raise DataError(f"{where}: answer_class must be an integer in [0, {manifest.n_classes})")
     image = _float_list(obj["image_features"], manifest.image_dim, f"{where}: image_features")
 
@@ -195,7 +195,7 @@ def _parse_sample(obj: dict, manifest: DatasetManifest, where: str) -> Sample:
         if (
             not isinstance(tokens, list)
             or not tokens
-            or not all(isinstance(t, int) and t >= 0 for t in tokens)
+            or not all(type(t) is int and t >= 0 for t in tokens)
         ):
             raise DataError(f"{where}: question_tokens must be a non-empty list of ints >= 0")
         # canonical length 50: truncate long questions, pad short ones with 0

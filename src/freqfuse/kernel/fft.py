@@ -11,7 +11,7 @@ leading batch axes.
 import numpy as np
 
 from ..errors import DimensionError
-from .tensor import GradTape, Tensor
+from .tensor import GradTape, Tensor, _op_output
 
 # subgradient clamp for zero-magnitude bins in the backward pass
 MAG_EPS = 1e-12
@@ -47,14 +47,8 @@ def dft_magnitude_backward(
 def dft_magnitude(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """Magnitude spectrum |DFT(x)| along the last axis, differentiable."""
     mag, spectrum = dft_magnitude_raw(x.data)
-    out = Tensor(mag)
-    if tape is not None:
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            x.accumulate_grad(dft_magnitude_backward(spectrum, g))
+    def backward(g):
+        x.accumulate_grad(dft_magnitude_backward(spectrum, g))
 
-        tape.record(backward)
-    return out
+    return _op_output(mag, tape, backward)

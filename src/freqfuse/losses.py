@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError
 from .kernel import GradTape, Tensor
 from .kernel import ops
+from .kernel.tensor import _op_output
 
 INTRA_WEIGHT = 0.3
 CROSS_WEIGHT = 0.7
@@ -50,20 +51,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, tape: GradTape | None = No
     shifted = z - zmax
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - lse
-    out = Tensor(-logp[np.arange(b), labels].mean())
-    if tape is not None:
-        probs = np.exp(logp)
 
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            d = probs.copy()
-            d[np.arange(b), labels] -= 1.0
-            logits.accumulate_grad(float(g) * d / b)
+    def backward(g):
+        d = np.exp(logp)
+        d[np.arange(b), labels] -= 1.0
+        logits.accumulate_grad(float(g) * d / b)
 
-        tape.record(backward)
-    return out
+    return _op_output(-logp[np.arange(b), labels].mean(), tape, backward)
 
 
 def info_nce(x: Tensor, y: Tensor, tau: float, tape: GradTape | None = None) -> Tensor:

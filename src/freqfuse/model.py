@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import TEXT_DIM, VIT_DIM, DatasetManifest, atomic_write_text
+from .data import TEXT_DIM, VIT_DIM, DatasetManifest, _float_list, atomic_write_text
 from .errors import ConfigError, ContractError, DataError
 from .fusion import FusionParams, SpectralFeatures, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor
@@ -282,16 +282,17 @@ def save_checkpoint(path: str, params: ModelParams, extra_meta: dict | None = No
     atomic_write_text(path, json.dumps(blob))
 
 
+# exact JSON types: a JSON true is a bool, not an int
 _META_TYPES = {
-    "n_classes": int,
-    "d_model": int,
-    "feature_layout": str,
-    "fusion_mode": str,
-    "k_filters": int,
-    "hidden1": int,
-    "hidden2": int,
+    "n_classes": (int,),
+    "d_model": (int,),
+    "feature_layout": (str,),
+    "fusion_mode": (str,),
+    "k_filters": (int,),
+    "hidden1": (int,),
+    "hidden2": (int,),
     "dropout": (int, float),
-    "tie_filters": bool,
+    "tie_filters": (bool,),
 }
 
 
@@ -317,7 +318,7 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
     if not isinstance(meta, dict):
         raise DataError(f"checkpoint {path} has no meta object")
     for key, kind in _META_TYPES.items():
-        if not isinstance(meta.get(key), kind):
+        if type(meta.get(key)) not in kind:
             raise DataError(f"checkpoint meta {key!r} is missing or has the wrong type")
     if meta["fusion_mode"] not in FUSION_MODES:
         raise DataError(f"checkpoint meta fusion_mode {meta['fusion_mode']!r} is unknown")
@@ -343,17 +344,11 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         extra = sorted(set(stored) - set(expected))
         raise DataError(f"checkpoint params mismatch: missing {missing}, unexpected {extra}")
     for name, tensor in expected.items():
-        try:
-            shape = tuple(stored[name]["shape"])
-            arr = np.asarray(stored[name]["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"checkpoint param {name} is malformed: {exc}") from exc
-        if shape != tensor.shape or arr.shape != (tensor.size,):
+        entry = stored[name]
+        if not isinstance(entry, dict) or entry.get("shape") != list(tensor.shape):
             raise DataError(f"checkpoint param {name} does not hold shape {tensor.shape}")
-        arr = arr.reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"checkpoint param {name} contains non-finite values")
-        tensor.data = arr
+        where = f"checkpoint {path} param {name}"
+        tensor.data = _float_list(entry.get("data"), tensor.size, where).reshape(tensor.shape)
     return params, meta
 
 

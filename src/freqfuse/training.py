@@ -7,6 +7,7 @@ config seed, so identical (config, data) reruns produce identical metrics.
 """
 
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -419,25 +420,52 @@ def variant_configs(base: TrainConfig) -> dict[str, TrainConfig]:
     }
 
 
+def _train_one_fold(inputs, config: TrainConfig, fold: int) -> FoldResult:
+    manifest, samples, kb, fold_ids = inputs
+    return train_fold(manifest, samples, kb, config, fold_ids, fold)
+
+
+# the (manifest, samples, kb, fold_ids) of a pool worker, handed over once at its start
+_worker_inputs = None
+
+
+def _init_worker(inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_fold_job(job) -> FoldResult:
+    return _train_one_fold(_worker_inputs, *job)
+
+
+def _run_fold_jobs(inputs, jobs, workers: int = 1) -> list[FoldResult]:
+    """Train every (config, fold) job on inputs (manifest, samples, kb,
+    fold_ids); results keep job order. The pool function is private because
+    a function perfbench's tracer has wrapped cannot be pickled by name."""
+    if workers > 1:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(inputs,)
+        ) as pool:
+            return list(pool.map(_worker_fold_job, jobs))
+    return [_train_one_fold(inputs, *job) for job in jobs]
+
+
 def run_ablation_suite(
     manifest: DatasetManifest,
     samples: list[Sample],
     kb: KnowledgeBase | None,
     config: TrainConfig,
     folds_to_run: list[int] | None = None,
+    workers: int = 1,
 ) -> dict[str, list[FoldResult]]:
     """Train every ablation variant under identical seeds and fold assignment."""
     fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
     if folds_to_run is None:
         folds_to_run = list(range(config.folds))
-    results: dict[str, list[FoldResult]] = {}
-    for name in VARIANT_ORDER:
-        variant_config = variant_configs(config)[name]
-        results[name] = [
-            train_fold(manifest, samples, kb, variant_config, fold_ids, fold)
-            for fold in folds_to_run
-        ]
-    return results
+    variants = variant_configs(config)
+    jobs = [(variants[name], fold) for name in VARIANT_ORDER for fold in folds_to_run]
+    results = iter(_run_fold_jobs((manifest, samples, kb, fold_ids), jobs, workers))
+    return {name: [next(results) for _ in folds_to_run] for name in VARIANT_ORDER}
 
 
 def metrics_csv_text(rows: list[tuple[str, int, MetricsReport]]) -> str:

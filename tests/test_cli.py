@@ -363,10 +363,16 @@ def _ckpt_without_meta_key(tmp_path, synth_dir, ckpt):
     return _eval_args(synth_dir, bad)
 
 
-def _ckpt_train_config(key, value):
+def _ckpt_edited(*keys, value):
+    """eval with a checkpoint whose blob[keys[0]][keys[1]]... is set to `value`."""
+
     def build(tmp_path, synth_dir, ckpt):
         blob = json.loads(ckpt.read_text())
-        blob["meta"]["train_config"][key] = value
+        *path, last = keys
+        node = blob
+        for key in path:
+            node = node[key]
+        node[last] = value
         bad = tmp_path / "edited.ckpt.json"
         bad.write_text(json.dumps(blob))
         return _eval_args(synth_dir, bad)
@@ -384,13 +390,18 @@ def _retrieve_args(synth_dir, queries, *extra):
     return ["retrieve", "--kb", str(synth_dir / "kb.jsonl"), "--queries", str(queries), *extra]
 
 
-def _retrieve_flags(*extra):
+def _retrieve_flags(*extra, first=None):
+    """retrieve with KB entry 0's embedding as the query, its first element
+    replaced by `first` unless that is None."""
+
     def build(tmp_path, synth_dir, ckpt):
         from freqfuse.data import load_knowledge_base
 
         queries = tmp_path / "q.jsonl"
-        embedding = load_knowledge_base(str(synth_dir / "kb.jsonl"))[0].embedding
-        queries.write_text(json.dumps(list(embedding)) + "\n")
+        embedding = list(load_knowledge_base(str(synth_dir / "kb.jsonl"))[0].embedding)
+        if first is not None:
+            embedding[0] = first
+        queries.write_text(json.dumps(embedding) + "\n")
         return _retrieve_args(synth_dir, queries, *extra)
 
     return build
@@ -445,24 +456,49 @@ def _not_utf8_file(kind):
     return build
 
 
-def _vector_element(key, value):
-    """Line 2 of the KB ("embedding") or the dataset (the feature vectors) with
-    its first vector element replaced by `value`."""
+def _line2_edited(kind, edit):
+    """eval on a KB, or train on a dataset, whose line 2 object is changed in
+    place by edit(obj)."""
 
-    def edit(line):
+    def edit_line(line):
         obj = json.loads(line)
-        obj[key][0] = value
+        edit(obj)
         return json.dumps(obj).encode()
 
     def build(tmp_path, synth_dir, ckpt):
         bad = tmp_path / "bad.jsonl"
-        if key == "embedding":
-            bad.write_bytes(_with_line_edited(synth_dir / "kb.jsonl", 2, edit))
+        if kind == "kb":
+            bad.write_bytes(_with_line_edited(synth_dir / "kb.jsonl", 2, edit_line))
             return _eval_args(synth_dir, ckpt, bad)
-        bad.write_bytes(_with_line_edited(synth_dir / "dataset.jsonl", 2, edit))
+        bad.write_bytes(_with_line_edited(synth_dir / "dataset.jsonl", 2, edit_line))
         return ["train", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")]
 
     return build
+
+
+def _vector_element(key, value):
+    """Line 2 of the KB ("embedding") or the dataset (the feature vectors) with
+    its first vector element replaced by `value`."""
+
+    def edit(obj):
+        obj[key][0] = value
+
+    return _line2_edited("kb" if key == "embedding" else "dataset", edit)
+
+
+def _answer_class(value):
+    def edit(obj):
+        obj["answer_class"] = value
+
+    return _line2_edited("dataset", edit)
+
+
+def _question_tokens(tokens):
+    def edit(obj):
+        del obj["question_features"]
+        obj["question_tokens"] = tokens
+
+    return _line2_edited("dataset", edit)
 
 
 def _dataset_cut_mid_line(tmp_path, synth_dir, ckpt):
@@ -498,7 +534,7 @@ def _train_flags(*extra):
         (_query_of_wrong_width, EXIT_DATA),
         (_kb_narrower_than_checkpoint, EXIT_DATA),
         (_ckpt_without_meta_key, EXIT_DATA),
-        (_ckpt_train_config("retrieval_k", "3"), EXIT_DATA),
+        (_ckpt_edited("meta", "train_config", "retrieval_k", value="3"), EXIT_DATA),
         (_ckpt_not_an_object, EXIT_DATA),
         (_config_line("max_epochs = ten"), EXIT_USAGE),
         (_config_line("seed = 1.5"), EXIT_USAGE),
@@ -525,8 +561,17 @@ def _train_flags(*extra):
         (_vector_element("question_features", "x"), EXIT_DATA),
         (_vector_element("question_features", [1.0]), EXIT_DATA),
         (_vector_element("question_features", True), EXIT_DATA),
-        (_ckpt_train_config("similarity", "dot"), EXIT_DATA),
-        (_ckpt_train_config("retrieval_k", 0), EXIT_DATA),
+        (_ckpt_edited("meta", "train_config", "similarity", value="dot"), EXIT_DATA),
+        (_ckpt_edited("meta", "train_config", "retrieval_k", value=0), EXIT_DATA),
+        (_retrieve_flags(first=True), EXIT_DATA),
+        (_retrieve_flags(first="1.5"), EXIT_DATA),
+        (_ckpt_edited("params", "cls.b3", "data", 0, value="1.5"), EXIT_DATA),
+        (_ckpt_edited("params", "cls.b3", "data", 0, value=True), EXIT_DATA),
+        (_answer_class(True), EXIT_DATA),
+        (_question_tokens([True, 5]), EXIT_DATA),
+        (_ckpt_edited("meta", "train_config", "batch_size", value=True), EXIT_DATA),
+        (_ckpt_edited("meta", "dropout", value=False), EXIT_DATA),
+        (_ckpt_edited("meta", "train_config", "retrieval_k", value=100), EXIT_DATA),
     ],
     ids=[
         "retrieve-query-width",
@@ -561,6 +606,15 @@ def _train_flags(*extra):
         "dataset-question-true",
         "ckpt-similarity-dot",
         "ckpt-retrieval-k-zero",
+        "queries-element-true",
+        "queries-element-string",
+        "ckpt-param-string",
+        "ckpt-param-true",
+        "dataset-answer-class-true",
+        "dataset-question-tokens-true",
+        "ckpt-batch-size-true",
+        "ckpt-meta-dropout-false",
+        "eval-retrieval-k-above-kb-size",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from freqfuse.errors import DimensionError, NumericError
-from freqfuse.kernel import GradTape, Tensor, ops
+from freqfuse.kernel import GradTape, Tensor, dft_magnitude, ops
+from freqfuse.losses import cross_entropy
 
 
 def test_tensor_is_float64_contiguous():
@@ -40,15 +41,6 @@ def test_accumulate_grad_sums_and_checks_shape():
     assert t.grad is None
 
 
-def test_detach_copies_data_and_drops_grad():
-    t = Tensor([1.0, 2.0])
-    t.accumulate_grad(np.ones(2))
-    d = t.detach()
-    assert d.grad is None
-    d.data[0] = 99.0
-    assert t.data[0] == 1.0
-
-
 def test_backward_requires_scalar_without_seed():
     tape = GradTape()
     x = Tensor([1.0, 2.0])
@@ -76,11 +68,37 @@ def test_backward_replays_in_reverse_and_accumulates():
     assert len(tape) == 4
 
 
-def test_unused_branch_contributes_no_grad():
+# every differentiable op: its input shapes and a call on those inputs
+_OPS = {
+    "linear": ([(2, 3), (4, 3), (4,)], ops.linear),
+    "matmul_nt": ([(2, 3), (4, 3)], ops.matmul_nt),
+    "add": ([(2, 3), (2, 3)], ops.add),
+    "mul": ([(2, 3), (2, 1)], ops.mul),
+    "scale": ([(2, 3)], lambda x, tape: ops.scale(x, 7.0, tape)),
+    "concat": ([(2, 3), (2, 2)], lambda a, b, tape: ops.concat([a, b], tape)),
+    "sigmoid": ([(2, 3)], ops.sigmoid),
+    "gelu": ([(2, 3)], ops.gelu),
+    "softmax": ([(2, 3)], ops.softmax),
+    "layernorm": ([(2, 3), (3,), (3,)], ops.layernorm),
+    "dropout": ([(2, 3)], lambda x, tape: ops.dropout(x, 0.5, np.random.default_rng(0), True,
+                                                      tape)),
+    "mean_pool": ([(2, 3)], lambda x, tape: ops.mean_pool(x, tape=tape)),
+    "row_norms": ([(2, 3)], ops.row_norms),
+    "rownorm": ([(2, 3)], ops.rownorm),
+    "dft_magnitude": ([(2, 4)], dft_magnitude),
+    "cross_entropy": ([(2, 3)], lambda z, tape: cross_entropy(z, np.array([0, 2]), tape)),
+}
+
+
+@pytest.mark.parametrize("shapes, call", _OPS.values(), ids=_OPS.keys())
+def test_unused_branch_contributes_no_grad(shapes, call):
+    rng = np.random.default_rng(0)
+    inputs = [Tensor(rng.standard_normal(shape)) for shape in shapes]
     tape = GradTape()
-    x = Tensor([1.0, 2.0])
-    ops.scale(x, 7.0, tape)  # never reaches the output
-    y = ops.scale(x, 2.0, tape)
-    s = ops.mean_pool(y, tape=tape)
-    tape.backward(s)
-    assert np.allclose(x.grad, [1.0, 1.0])
+    call(*inputs, tape=tape)  # never reaches the loss
+    assert len(tape) == 1
+    x = inputs[0]
+    used = ops.mean_pool(ops.mean_pool(ops.scale(x, 2.0, tape), tape=tape), tape=tape)
+    tape.backward(used)
+    assert np.allclose(x.grad, 2.0 / x.size)  # the used branch's gradient alone
+    assert all(t.grad is None for t in inputs[1:])
