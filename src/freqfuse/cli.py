@@ -334,7 +334,10 @@ def cmd_retrieve(args, file_values) -> int:
                 f"{kb.d_model}"
             )
         vec = data_mod._float_list(value, kb.d_model, where)
-        result = retrieve(vec, kb, k=args.k, tau=args.tau, similarity=args.similarity)
+        try:
+            result = retrieve(vec, kb, k=args.k, tau=args.tau, similarity=args.similarity)
+        except (ContractError, DegenerateInputError) as exc:  # its norm overflows or is zero
+            raise DataError(f"{where}: {exc}") from exc
         outputs.append(
             json.dumps(
                 {

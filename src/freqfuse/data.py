@@ -314,16 +314,19 @@ def _first_width(path: str) -> int | None:
 
 
 def _checked_block(rows: list[list], linenos: list[int], path: str) -> np.ndarray:
-    """The rows as one float64 matrix; the first row that is not finite or has
-    zero norm is a DataError naming its line."""
+    """The rows as one float64 matrix; the first row that is not finite, whose
+    norm overflows float64 or that has zero norm is a DataError naming its line."""
     block = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(block).all(axis=1)
-    bad = ~finite | (np.linalg.norm(block, axis=1) <= 1e-12)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(block, axis=1)
+    bad = ~np.isfinite(norms) | (norms <= 1e-12)  # a NaN or Inf element makes the norm so too
     if bad.any():
         i = int(np.argmax(bad))
         where = f"{path} line {linenos[i]}"
-        if not finite[i]:
+        if not np.isfinite(block[i]).all():
             raise DataError(f"{where}: embedding: expected {block.shape[1]} finite numbers")
+        if not np.isfinite(norms[i]):
+            raise DataError(f"{where}: embedding norm overflows float64")
         raise DataError(f"{where}: embedding has zero norm")
     return block
 

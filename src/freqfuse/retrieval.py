@@ -14,6 +14,7 @@ top-K selection.
 """
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -104,7 +105,12 @@ class KnowledgeBase:
             raise RetrievalError("knowledge base is empty")
         self.columns = entries if isinstance(entries, KnowledgeColumns) else _columns(entries)
         self.embeddings = self.columns.embeddings
-        norms = np.linalg.norm(self.embeddings, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.embeddings, axis=1)
+        finite = np.isfinite(norms)
+        if not finite.all():
+            bad = self.columns.ids[int(np.argmin(finite))]
+            raise DataError(f"knowledge entry {bad!r} has an embedding whose norm is not finite")
         if np.any(norms <= NORM_EPS):
             bad = self.columns.ids[int(np.argmin(norms))]
             raise DataError(f"knowledge entry {bad!r} has zero-norm embedding")
@@ -136,6 +142,13 @@ def _similarities(qn: np.ndarray, kb: KnowledgeBase, similarity: str) -> np.ndar
     raise ConfigError(f"unknown similarity {similarity!r}")
 
 
+def _block_width(n: int, k: int) -> int:
+    """Entries per block for `_top_k`: about 2 sqrt(N), where the block-max
+    pass and the candidate scan cost about the same, and never so wide that
+    fewer than k whole blocks fit."""
+    return min(2 * isqrt(n), n // k)
+
+
 def _top_k(
     queries: np.ndarray, kb: KnowledgeBase, k: int, tau: float, similarity: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,28 +156,48 @@ def _top_k(
     entries for each row of a (B, d) query matrix, each of shape (B, k)."""
     if k < 1 or k > len(kb):
         raise ConfigError(f"k={k} outside [1, {len(kb)}]")
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ConfigError(f"tau must be positive and finite, got {tau}")
     if queries.shape[1] != kb.d_model:
         raise ContractError(
             f"query width {queries.shape[1]} does not match knowledge base width {kb.d_model}"
         )
-    finite = np.isfinite(queries).all(axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(queries, axis=1)
+    finite = np.isfinite(norms)
     if not finite.all():
-        raise ContractError(f"query row {int(np.argmin(finite))} contains NaN or Inf")
-    norms = np.linalg.norm(queries, axis=1)
+        raise ContractError(
+            f"query row {int(np.argmin(finite))} holds NaN or Inf or its norm overflows float64"
+        )
     if np.any(norms <= NORM_EPS):
         raise DegenerateInputError("cannot normalize a (near-)zero query vector")
     sims = _similarities(queries / norms[:, None], kb, similarity)
-    # O(N) selection of each row's k-th best score; the entries at or above it
-    # are k, or more when scores tie at the boundary. Sorting only those
-    # candidates by (-sim, entry index) keeps ties in entry order.
-    n = sims.shape[1]
-    kth = np.partition(sims, n - k, axis=1)[:, n - k]
-    rows, cols = np.divmod(np.flatnonzero(sims >= kth[:, None]), n)
-    ranked = np.lexsort((cols, -sims[rows, cols], rows))
-    # rows come out sorted, so each row's candidates start at its first position
-    starts = np.searchsorted(rows, np.arange(len(queries)))
+    # Block-max selection. The k whole blocks with the largest maxima hold k
+    # distinct entries scoring >= `bound`, the k-th largest block max, so every
+    # top-k entry scores >= bound and lies in a block whose max is >= bound,
+    # or in the tail after the last whole block. Only those entries are
+    # ranked, by (row, -sim, entry index), so ties keep entry order exactly
+    # as a full stable sort would.
+    b, n = sims.shape
+    width = _block_width(n, k)
+    nb = n // width
+    full = nb * width
+    blocks = sims[:, :full].reshape(b, nb, width)
+    tops = blocks.max(axis=2)
+    bound = np.partition(tops, nb - k, axis=1)[:, nb - k, None]
+    rows, block = np.nonzero(tops >= bound)
+    vals = blocks[rows, block]
+    i, j = np.nonzero(vals >= bound[rows])
+    rows, cols, scores = rows[i], block[i] * width + j, vals[i, j]
+    if full < n:
+        tail_rows, tail_cols = np.nonzero(sims[:, full:] >= bound)
+        tail_cols += full
+        rows = np.concatenate((rows, tail_rows))
+        cols = np.concatenate((cols, tail_cols))
+        scores = np.concatenate((scores, sims[tail_rows, tail_cols]))
+    ranked = np.lexsort((cols, -scores, rows))
+    # every row has at least k candidates; its first k ranked are its top k
+    starts = np.searchsorted(rows[ranked], np.arange(b))
     order = cols[ranked[starts[:, None] + np.arange(k)]]
     top = np.take_along_axis(sims, order, axis=1)
     return order, top, ops.softmax(Tensor(top / tau)).data

@@ -6,6 +6,7 @@ dropout masks, augmentation noise) draws from a named stream derived from the
 config seed, so identical (config, data) reruns produce identical metrics.
 """
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -58,6 +59,10 @@ class TrainConfig:
     contrastive_space: str = "spatial"  # or "enhanced"
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not abs(value) < math.inf:  # NaN fails too
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         positive = {
             "lr": self.lr,
             "batch_size": self.batch_size,

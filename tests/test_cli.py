@@ -572,6 +572,14 @@ def _train_flags(*extra):
         (_ckpt_edited("meta", "train_config", "batch_size", value=True), EXIT_DATA),
         (_ckpt_edited("meta", "dropout", value=False), EXIT_DATA),
         (_ckpt_edited("meta", "train_config", "retrieval_k", value=100), EXIT_DATA),
+        (_train_flags("--lr", "nan"), EXIT_USAGE),
+        (_train_flags("--lr", "inf"), EXIT_USAGE),
+        (_train_flags("--retrieval-tau", "nan"), EXIT_USAGE),
+        (_retrieve_flags("--tau", "nan"), EXIT_USAGE),
+        (_retrieve_flags("--tau", "inf"), EXIT_USAGE),
+        (_ckpt_edited("meta", "train_config", "lr", value=float("nan")), EXIT_DATA),
+        (_retrieve_flags(first=1e300), EXIT_DATA),
+        (_vector_element("embedding", 1e300), EXIT_DATA),
     ],
     ids=[
         "retrieve-query-width",
@@ -615,6 +623,14 @@ def _train_flags(*extra):
         "ckpt-batch-size-true",
         "ckpt-meta-dropout-false",
         "eval-retrieval-k-above-kb-size",
+        "train-lr-nan",
+        "train-lr-inf",
+        "train-retrieval-tau-nan",
+        "retrieve-tau-nan",
+        "retrieve-tau-inf",
+        "ckpt-lr-nan",
+        "retrieve-query-norm-overflows",
+        "kb-embedding-norm-overflows",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,
@@ -626,6 +642,23 @@ def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowled
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("freqfuse: ")
+
+
+def test_bad_norms_are_named_by_line(synth_dir, tmp_path, capsys):
+    queries = tmp_path / "q.jsonl"
+    for bad, message in ((1e300, "query row 0 holds NaN or Inf or its norm overflows float64"),
+                         (0.0, "cannot normalize a (near-)zero query vector")):
+        queries.write_text(json.dumps([1.0] * 16) + "\n" + json.dumps([bad] * 16) + "\n")
+        assert run(_retrieve_args(synth_dir, queries)) == EXIT_DATA
+        assert f"q.jsonl line 2: {message}" in capsys.readouterr().err
+    lines = (synth_dir / "kb.jsonl").read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj["embedding"] = [1e300] * len(obj["embedding"])
+    lines[2] = json.dumps(obj)
+    kb = tmp_path / "big-kb.jsonl"
+    kb.write_text("\n".join(lines) + "\n")
+    assert run(_retrieve_args(synth_dir, queries) + ["--kb", str(kb)]) == EXIT_DATA
+    assert "big-kb.jsonl line 3: embedding norm overflows float64" in capsys.readouterr().err
 
 
 def test_ablate_parses_dataset_and_kb_once(synth_dir, tmp_path, monkeypatch, capsys):

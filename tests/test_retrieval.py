@@ -13,6 +13,8 @@ from freqfuse.retrieval import (
     DensityMatrix,
     KnowledgeBase,
     QuantumState,
+    _block_width,
+    _top_k,
     density,
     fidelity,
     fidelity_general,
@@ -182,6 +184,8 @@ def test_kb_validation():
         KnowledgeBase([entry(0, [1.0, 0.0]), entry(1, [1.0, 0.0, 0.0])])
     with pytest.raises(DataError):
         KnowledgeBase([entry(0, [0.0, 0.0])])
+    with pytest.raises(DataError, match="'e1' has an embedding whose norm is not finite"):
+        KnowledgeBase([entry(0, [1.0, 0.0]), entry(1, [1e300, 1e300])])
 
 
 def test_self_match_tops_the_ranking():
@@ -297,7 +301,7 @@ def test_retrieve_batch_matches_single():
 def test_retrieve_batch_rejects_bad_tau_and_width():
     kb = KnowledgeBase([entry(0, [1.0, 0.0]), entry(1, [0.0, 1.0])])
     queries = np.array([[1.0, 0.5], [0.2, 1.0]])
-    for tau in (0.0, -1.0):
+    for tau in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ConfigError):
             retrieve_batch(queries, kb, k=2, tau=tau)
     with pytest.raises(ContractError):
@@ -331,7 +335,7 @@ def test_single_and_batch_agree_with_ties_at_k():
 @pytest.mark.parametrize("bad_row", [0, 2, 4])
 def test_non_finite_query_row_is_rejected(bad_row):
     kb = KnowledgeBase([entry(i, np.eye(3)[i % 3] * (i + 1)) for i in range(6)])
-    for value in (np.nan, np.inf, -np.inf):
+    for value in (np.nan, np.inf, -np.inf, 1e300):  # 1e300 is finite; its norm is not
         queries = np.ones((5, 3))
         queries[bad_row, 1] = value
         with pytest.raises(ContractError, match=f"row {bad_row}"):
@@ -393,3 +397,48 @@ def test_top_k_matches_full_sort_oracle_with_ties():
                         score1 = cos1 * cos1 if similarity == "fidelity" else cos1
                         assert list(single.indices) == list(_oracle_top_k(score1[None], k)[0])
     assert boundary_ties > 50
+
+
+def _blocked_kb(rng, n, width, anchors):
+    """n gaussian entries with each anchor copied, exactly and scaled by powers
+    of two, into both sides of a block boundary and into the tail (or, with no
+    tail, the last whole block), so its copies tie across blocks. With blocks
+    of one entry some places coincide and the later copy wins."""
+    vecs = rng.standard_normal((n, anchors.shape[1]))
+    full = n // width * width
+    mid = n // width // 2 * width
+    places = [
+        (0, (width - 1, width, n - 1)),
+        (1, (mid - 1, mid, full - 1)),
+        (2, (full - 3, min(full, n - 1), n - 2)),
+    ]
+    for a, positions in places:
+        for scale, p in zip((1.0, 2.0, 0.25), positions):
+            vecs[p] = scale * anchors[a]
+    return KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
+
+
+@pytest.mark.parametrize("n", [4097, 20011])
+def test_block_max_top_k_is_exact_where_blocks_prune(n):
+    rng = named_stream(0, "test-block-topk", n)
+    anchors = rng.standard_normal((3, 6))
+    queries = np.concatenate(
+        [anchors, anchors + 0.01 * rng.standard_normal(anchors.shape),
+         rng.standard_normal((3, 6))]
+    )
+    nb = n // _block_width(n, 3)
+    for k in (1, 3, nb - 1, nb, nb + 1, n):
+        kb = _blocked_kb(rng, n, _block_width(n, k), anchors)
+        for similarity in ("fidelity", "cosine"):
+            cos = (queries / np.linalg.norm(queries, axis=1)[:, None]) @ kb.unit.T
+            scores = cos * cos if similarity == "fidelity" else cos
+            expect = _oracle_top_k(scores, k)
+            order, top, weights = _top_k(queries, kb, k, 0.1, similarity)
+            assert np.array_equal(order, expect), (n, k, similarity)
+            want = np.take_along_axis(scores, expect, axis=1)
+            assert np.array_equal(top, want)
+            assert np.array_equal(weights, ops.softmax(Tensor(want / 0.1)).data)
+            # anchor copies tie at the top of their queries' rankings
+            best = np.sort(scores, axis=1)[:, -2:]
+            assert np.sum(best[:, 0] == best[:, 1]) >= 3
+
