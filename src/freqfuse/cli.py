@@ -96,7 +96,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out-dir", default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="processes that train folds (default: one per usable core)")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -241,7 +242,7 @@ def cmd_train(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
     out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
-    workers = _resolve(args, file_values, "workers", 1, int)
+    workers = _resolve(args, file_values, "workers", kind=int)
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
     manifest, samples, kb = _load_train_inputs(dataset_path, kb_path)
@@ -395,7 +396,7 @@ def cmd_ablate(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
     out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
-    workers = _resolve(args, file_values, "workers", 1, int)
+    workers = _resolve(args, file_values, "workers", kind=int)
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
     results = run_ablation_suite(*_load_train_inputs(dataset_path, kb_path), config, folds, workers)

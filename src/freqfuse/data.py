@@ -275,18 +275,22 @@ def save_dataset(path: str, manifest: DatasetManifest, samples: list[Sample]) ->
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
+def usable_cores() -> int:
+    """The cores this process may run on; 1 in a daemonic process, which
+    cannot start worker processes."""
+    if current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _kb_ranges(path: str) -> list[tuple[int, int]]:
     """Byte ranges of a KB file, cut at line starts: one per usable core and
-    per _KB_CHUNK_BYTES of file, at least one. A daemonic process cannot
-    start the workers, so it gets one range."""
+    per _KB_CHUNK_BYTES of file, at least one."""
     size = os.path.getsize(path)
-    if current_process().daemon:
-        return [(0, size)]
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
-    count = max(1, min(cores, size // _KB_CHUNK_BYTES))
+    count = max(1, min(usable_cores(), size // _KB_CHUNK_BYTES))
     bounds = [0]
     with open(path, "rb") as fh:
         for i in range(1, count):

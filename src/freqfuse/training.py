@@ -7,9 +7,12 @@ config seed, so identical (config, data) reruns produce identical metrics.
 """
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from multiprocessing import current_process, get_context
 
 import numpy as np
 
@@ -20,6 +23,7 @@ from .data import (
     image_matrix,
     labels_array,
     question_matrix,
+    usable_cores,
 )
 from .errors import ConfigError, NumericError
 from .kernel import AdamState, GradTape, Tensor, adam_step, ops
@@ -246,10 +250,12 @@ class FoldResult:
 
 
 def _clip_gradients(grad: np.ndarray, clip_norm: float) -> None:
-    """Scale the flat gradient in place to a global L2 norm <= clip_norm (0: off)."""
+    """Scale the flat gradient in place to a global L2 norm <= clip_norm (0: off).
+    The sum of squares goes through einsum, not BLAS: a threaded BLAS dot
+    splits the sum by thread count, which would make training depend on it."""
     if clip_norm <= 0:
         return
-    total = np.sqrt(grad @ grad)
+    total = np.sqrt(np.einsum("i,i->", grad, grad))
     if total > clip_norm:
         grad *= clip_norm / total
 
@@ -443,16 +449,53 @@ def _worker_fold_job(job) -> FoldResult:
     return _train_one_fold(_worker_inputs, *job)
 
 
-def _run_fold_jobs(inputs, jobs, workers: int = 1) -> list[FoldResult]:
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_in_children():
+    """Processes spawned inside the block run BLAS on one thread: they read
+    these variables when they import numpy. This process's BLAS is loaded
+    already and keeps its threads; its environment is restored on exit."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _run_fold_jobs(inputs, jobs, workers: int | None = None) -> list[FoldResult]:
     """Train every (config, fold) job on inputs (manifest, samples, kb,
-    fold_ids); results keep job order. The pool function is private because
-    a function perfbench's tracer has wrapped cannot be pickled by name."""
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(inputs,)
-        ) as pool:
-            return list(pool.map(_worker_fold_job, jobs))
-    return [_train_one_fold(inputs, *job) for job in jobs]
+    fold_ids); results keep job order and do not depend on `workers`.
+
+    workers=None means one per usable core; at most one worker per job is
+    started, none from a daemonic process. Workers are spawned, since forking
+    a process with live BLAS threads is unsafe, and run BLAS on one thread
+    each so that they do not oversubscribe the cores. Spawned workers import
+    the main module, so a script calling this needs an
+    `if __name__ == "__main__":` guard. The pool function is private because a
+    function perfbench's tracer has wrapped cannot be pickled by name."""
+    if workers is None:
+        workers = usable_cores()
+    elif workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(jobs))
+    if workers <= 1 or current_process().daemon:
+        return [_train_one_fold(inputs, *job) for job in jobs]
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=get_context("spawn"),
+        initializer=_init_worker,
+        initargs=(inputs,),
+    ) as pool:
+        with _one_blas_thread_in_children():  # a spawn pool starts its workers in submit
+            futures = [pool.submit(_worker_fold_job, job) for job in jobs]
+        return [future.result() for future in futures]
 
 
 def run_ablation_suite(
@@ -461,9 +504,10 @@ def run_ablation_suite(
     kb: KnowledgeBase | None,
     config: TrainConfig,
     folds_to_run: list[int] | None = None,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> dict[str, list[FoldResult]]:
-    """Train every ablation variant under identical seeds and fold assignment."""
+    """Train every ablation variant under identical seeds and fold assignment,
+    on `workers` processes (None: one per usable core; see _run_fold_jobs)."""
     fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
     if folds_to_run is None:
         folds_to_run = list(range(config.folds))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import freqfuse
 from freqfuse.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, read_config_file
 from freqfuse.errors import ConfigError
 
@@ -539,6 +541,9 @@ def _train_flags(*extra):
         (_config_line("max_epochs = ten"), EXIT_USAGE),
         (_config_line("seed = 1.5"), EXIT_USAGE),
         (_config_line("workers = two"), EXIT_USAGE),
+        (_config_line("workers = 0"), EXIT_USAGE),
+        (_train_flags("--workers", "0"), EXIT_USAGE),
+        (_train_flags("--workers", "-1"), EXIT_USAGE),
         (_retrieve_flags("--k", "100"), EXIT_USAGE),
         (_retrieve_flags("--tau", "0"), EXIT_USAGE),
         (_kb_line_with_nan, EXIT_DATA),
@@ -590,6 +595,9 @@ def _train_flags(*extra):
         "config-max-epochs",
         "config-seed",
         "config-workers",
+        "config-workers-zero",
+        "train-workers-zero",
+        "train-workers-negative",
         "retrieve-k-above-kb-size",
         "retrieve-tau-zero",
         "kb-nan-embedding",
@@ -713,11 +721,111 @@ def test_workers_match_serial_run(synth_dir, tmp_path, capsys, command, csv_name
         "--batch-size", "8",
         "--fusion-mode", "freq_plus_knowledge",
     ] + extra
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert run(args + ["--out-dir", str(serial)]) == EXIT_OK
-    assert run(args + ["--out-dir", str(pooled), "--workers", "2"]) == EXIT_OK
+    outputs = []
+    for name, workers in (("serial", ["--workers", "1"]), ("default", []),
+                          ("pooled", ["--workers", "2"])):
+        assert run(args + ["--out-dir", str(tmp_path / name)] + workers) == EXIT_OK
+        outputs.append((tmp_path / name / csv_name).read_bytes())
     capsys.readouterr()
-    assert (serial / csv_name).read_bytes() == (pooled / csv_name).read_bytes()
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records how it was built and the
+    BLAS thread setting at each submit, and runs every job in-process."""
+
+    built: list = []
+    blas_at_submit: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.built.append((max_workers, mp_context.get_start_method()))
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        self.blas_at_submit.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize(
+    "command, extra, workers, started",
+    [
+        ("train", [], ["--workers", "5000"], 2),
+        ("ablate", ["--fold", "0"], ["--workers", "5000"], 7),
+        ("ablate", ["--fold", "0"], [], 7),  # 64 usable cores, 7 jobs
+        ("train", [], ["--workers", "1"], None),
+    ],
+)
+def test_workers_capped_at_job_count(synth_dir, tmp_path, monkeypatch, capsys,
+                                     command, extra, workers, started):
+    from freqfuse import training
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(training, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(training, "_worker_inputs", None)
+    monkeypatch.setattr(_RecordingPool, "built", [])
+    monkeypatch.setattr(_RecordingPool, "blas_at_submit", [])
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    args = [
+        command,
+        "--dataset", str(synth_dir / "dataset.jsonl"),
+        "--kb", str(synth_dir / "kb.jsonl"),
+        "--out-dir", str(tmp_path / "out"),
+        "--seed", "3",
+        "--folds", "2",
+        "--max-epochs", "1",
+        "--hidden1", "16",
+        "--hidden2", "8",
+    ]
+    assert run(args + extra + workers) == EXIT_OK
+    capsys.readouterr()
+    if started is None:
+        assert _RecordingPool.built == []
+    else:
+        assert _RecordingPool.built == [(started, "spawn")]
+        assert _RecordingPool.blas_at_submit == ["1"] * started
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_training_does_not_depend_on_blas_thread_count(tmp_path):
+    """A threaded BLAS dot product of more than 10,000 elements splits its sum
+    by thread count. Clipping on every step, a fold of 13,787 parameters must
+    write the same checkpoint under one and two BLAS threads."""
+    from freqfuse.data import usable_cores
+    from freqfuse.model import load_checkpoint
+
+    if usable_cores() < 2:
+        pytest.skip("needs two usable cores to run a threaded BLAS")
+    data = tmp_path / "data"
+    assert run(["synth", "--out-dir", str(data), "--classes", "3", "--per-class", "16",
+                "--d-model", "16", "--sigma", "0.2", "--seed", "3"]) == EXIT_OK
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqfuse.__file__)))
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "freqfuse.cli", "train",
+             "--dataset", str(data / "dataset.jsonl"), "--out-dir", str(out),
+             "--seed", "3", "--folds", "2", "--fold", "0", "--max-epochs", "3",
+             "--hidden1", "128", "--hidden2", "32", "--batch-size", "8",
+             "--clip-norm", "0.001", "--workers", "1"],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        checkpoints.append((out / "fold0.ckpt.json").read_bytes())
+    params = load_checkpoint(str(tmp_path / "threads1" / "fold0.ckpt.json")).named()
+    assert sum(t.data.size for t in params.values()) > 10_000
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_module_entry_point_help():

@@ -17,6 +17,7 @@ from freqfuse.training import (
     compute_metrics,
     make_folds,
     metrics_csv_text,
+    run_ablation_suite,
     schedule_lr,
     summarize,
     train_fold,
@@ -201,6 +202,20 @@ def test_training_is_deterministic(clean_data):
         assert ra.val_accuracy == rb.val_accuracy
     for name, tensor in a.params.named().items():
         assert np.array_equal(tensor.data, b.params.named()[name].data), name
+
+
+def test_ablation_suite_on_default_workers_equals_serial(clean_data):
+    manifest, samples, kb = clean_data
+    cfg = small_config(max_epochs=2, hidden1=64, hidden2=32)
+    serial = run_ablation_suite(manifest, samples, kb, cfg, folds_to_run=[0], workers=1)
+    default = run_ablation_suite(manifest, samples, kb, cfg, folds_to_run=[0])
+    assert list(default) == list(serial) == list(VARIANT_ORDER)
+    for name in VARIANT_ORDER:
+        (a,), (b,) = serial[name], default[name]
+        assert (a.fold, a.best_epoch, a.metrics, a.history) == (
+            b.fold, b.best_epoch, b.metrics, b.history), name
+        for key, tensor in a.params.named().items():
+            assert tensor.data.tobytes() == b.params.named()[key].data.tobytes(), (name, key)
 
 
 def test_without_contrastive_total_equals_ce(clean_data):

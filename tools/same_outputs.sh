@@ -5,8 +5,9 @@
 #   tools/same_outputs.sh PARENT_DIR CHANGE_DIR
 #
 # Each DIR is a checkout whose src/ holds the freqfuse package. In each tree
-# the script runs synth, train (freq_plus_knowledge), ablate --fold 0 serially
-# and with --workers 2, eval, retrieve, spectrum and gradcheck, then retrieve
+# the script runs synth, train (freq_plus_knowledge), ablate --fold 0 with
+# --workers 1, with the default worker count (one per usable core) and with
+# --workers 2, eval, retrieve, spectrum and gradcheck, then retrieve
 # at --k 1 and 3, fidelity and cosine, on a 20,000-entry KB built from the
 # synthetic one. It keeps every file a command writes, its stdout and its exit
 # code; stderr is kept aside (warnings name source lines) and not compared.
@@ -43,7 +44,9 @@ run_tree() {
     step train train --dataset data/dataset.jsonl --kb data/kb.jsonl --out-dir train \
         --fusion-mode freq_plus_knowledge "${SMALL[@]}"
     step ablate ablate --dataset data/dataset.jsonl --kb data/kb.jsonl --out-dir ablate \
-        --fold 0 "${SMALL[@]}"
+        --fold 0 --workers 1 "${SMALL[@]}"
+    step ablate_default ablate --dataset data/dataset.jsonl --kb data/kb.jsonl \
+        --out-dir ablate_default --fold 0 "${SMALL[@]}"
     step ablate_workers ablate --dataset data/dataset.jsonl --kb data/kb.jsonl \
         --out-dir ablate_workers --fold 0 --workers 2 "${SMALL[@]}"
     step eval eval --dataset data/dataset.jsonl --kb data/kb.jsonl \
