@@ -15,6 +15,8 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from . import data as data_mod
 from .errors import (
     ConfigError,
@@ -27,7 +29,7 @@ from .errors import (
 from .gradcheck import run_all
 from .kernel import dft_magnitude_raw
 from .model import read_checkpoint, save_checkpoint
-from .retrieval import KnowledgeBase, retrieve
+from .retrieval import KnowledgeBase, _check_options, _top_k, _unit_queries
 from .training import (
     FoldResult,
     TrainConfig,
@@ -45,6 +47,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 _PATH_KEYS = ("dataset", "kb", "out_dir", "workers")
+_QUERY_TILE = 32  # query lines `retrieve` scores together
 _CONFIG_KEYS = {f.name: f.type for f in fields(TrainConfig)}
 
 
@@ -277,6 +280,13 @@ def cmd_eval(args, file_values) -> int:
     if not samples:
         raise DataError(f"{dataset_path}: dataset has no samples to evaluate")
     params, meta = read_checkpoint(args.checkpoint)
+    beyond = next((s for s in samples if s.answer_class >= params.n_classes), None)
+    if beyond is not None:
+        raise DataError(
+            f"{dataset_path}: sample {beyond.sample_id!r} has answer_class "
+            f"{beyond.answer_class}, but checkpoint {args.checkpoint} predicts "
+            f"{params.n_classes} classes"
+        )
     stored = meta.get("train_config", {})
     if not isinstance(stored, dict):
         raise DataError(f"checkpoint {args.checkpoint}: meta.train_config is not an object")
@@ -320,7 +330,8 @@ def cmd_eval(args, file_values) -> int:
 def cmd_retrieve(args, file_values) -> int:
     kb_path = _require(_resolve(args, file_values, "kb"), "--kb")
     kb = _load_kb(kb_path)
-    outputs = []
+    _check_options(kb, args.k, args.tau, args.similarity)
+    vectors = []
     for lineno, line in data_mod.text_lines(args.queries, "queries"):
         if not line.strip():
             continue
@@ -336,18 +347,23 @@ def cmd_retrieve(args, file_values) -> int:
             )
         vec = data_mod._float_list(value, kb.d_model, where)
         try:
-            result = retrieve(vec, kb, k=args.k, tau=args.tau, similarity=args.similarity)
+            _unit_queries(vec[None, :], kb.d_model)
         except (ContractError, DegenerateInputError) as exc:  # its norm overflows or is zero
             raise DataError(f"{where}: {exc}") from exc
-        outputs.append(
-            json.dumps(
-                {
-                    "ids": [e.entry_id for e in result.entries],
-                    "similarities": [float(s) for s in result.similarities],
-                    "weights": [float(w) for w in result.weights],
-                }
+        vectors.append(vec)
+    outputs = []
+    for start in range(0, len(vectors), _QUERY_TILE):
+        tile = np.stack(vectors[start : start + _QUERY_TILE])
+        for order, top, weights in zip(*_top_k(tile, kb, args.k, args.tau, args.similarity)):
+            outputs.append(
+                json.dumps(
+                    {
+                        "ids": [kb.columns.ids[i] for i in order],
+                        "similarities": [float(s) for s in top],
+                        "weights": [float(w) for w in weights],
+                    }
+                )
             )
-        )
     text = "\n".join(outputs) + "\n"
     out_dir = _resolve(args, file_values, "out_dir")
     if out_dir:

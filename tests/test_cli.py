@@ -409,6 +409,24 @@ def _retrieve_flags(*extra, first=None):
     return build
 
 
+def _dataset_with_more_classes(tmp_path, synth_dir, ckpt):
+    # a 4-class dataset against a checkpoint trained on 2 classes
+    out = tmp_path / "four-classes"
+    assert run(["synth", "--out-dir", str(out), "--classes", "4", "--per-class", "2",
+                "--d-model", "16", "--seed", "3"]) == EXIT_OK
+    return ["eval", "--dataset", str(out / "dataset.jsonl"), "--kb", str(synth_dir / "kb.jsonl"),
+            "--checkpoint", str(ckpt)]
+
+
+def _kb_id_repeated(tmp_path, synth_dir, ckpt):
+    first = json.loads((synth_dir / "kb.jsonl").read_text().splitlines()[0])["id"]
+
+    def edit(obj):
+        obj["id"] = first
+
+    return _line2_edited("kb", edit)(tmp_path, synth_dir, ckpt)
+
+
 def _query_line_with_nan(tmp_path, synth_dir, ckpt):
     queries = tmp_path / "q.jsonl"
     queries.write_text("[" + ", ".join(["1.0"] * 15 + ["NaN"]) + "]\n")
@@ -585,6 +603,8 @@ def _train_flags(*extra):
         (_ckpt_edited("meta", "train_config", "lr", value=float("nan")), EXIT_DATA),
         (_retrieve_flags(first=1e300), EXIT_DATA),
         (_vector_element("embedding", 1e300), EXIT_DATA),
+        (_dataset_with_more_classes, EXIT_DATA),
+        (_kb_id_repeated, EXIT_DATA),
     ],
     ids=[
         "retrieve-query-width",
@@ -639,6 +659,8 @@ def _train_flags(*extra):
         "ckpt-lr-nan",
         "retrieve-query-norm-overflows",
         "kb-embedding-norm-overflows",
+        "eval-label-beyond-checkpoint-classes",
+        "kb-id-repeated",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,
@@ -667,6 +689,66 @@ def test_bad_norms_are_named_by_line(synth_dir, tmp_path, capsys):
     kb.write_text("\n".join(lines) + "\n")
     assert run(_retrieve_args(synth_dir, queries) + ["--kb", str(kb)]) == EXIT_DATA
     assert "big-kb.jsonl line 3: embedding norm overflows float64" in capsys.readouterr().err
+
+
+def test_eval_names_first_sample_beyond_checkpoint_classes(synth_dir, knowledge_ckpt,
+                                                           tmp_path, capsys):
+    from freqfuse.data import load_dataset
+
+    argv = _dataset_with_more_classes(tmp_path, synth_dir, knowledge_ckpt)
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    _, samples = load_dataset(argv[2])
+    first = next(s for s in samples if s.answer_class >= 2)
+    err = capsys.readouterr().err
+    assert (f"sample {first.sample_id!r} has answer_class {first.answer_class}, "
+            f"but checkpoint {knowledge_ckpt} predicts 2 classes") in err
+
+
+def _large_kb(synth_dir, tmp_path):
+    """The synthetic KB plus seeded distractors and power-of-two copies of its
+    entries (exact ties), large enough that `retrieve` screens it."""
+    from freqfuse.data import KnowledgeEntry, load_knowledge_base, save_knowledge_base
+
+    entries = list(load_knowledge_base(str(synth_dir / "kb.jsonl")))
+    rng = np.random.default_rng(7)
+    entries += [KnowledgeEntry(f"x{i}", "distractor", v)
+                for i, v in enumerate(rng.standard_normal((400, 16)))]
+    entries += [KnowledgeEntry(f"{e.entry_id}-x2", "copy", 2.0 * e.embedding)
+                for e in entries[:4]]
+    path = tmp_path / "large-kb.jsonl"
+    save_knowledge_base(str(path), entries)
+    return path, entries
+
+
+@pytest.mark.parametrize("large", [False, True], ids=["all-pairs", "screened"])
+def test_retrieve_tiles_give_per_line_results(large, synth_dir, tmp_path, capsys):
+    from freqfuse.data import load_knowledge_base
+    from freqfuse.retrieval import KnowledgeBase, retrieve
+
+    if large:
+        kb_path, entries = _large_kb(synth_dir, tmp_path)
+    else:
+        kb_path = synth_dir / "kb.jsonl"
+        entries = list(load_knowledge_base(str(kb_path)))
+    kb = KnowledgeBase(entries)
+    rng = np.random.default_rng(11)
+    protos = np.stack([e.embedding for e in entries[:4]])
+    queries = np.concatenate([protos, protos + 0.05 * rng.standard_normal(protos.shape),
+                              rng.standard_normal((57, 16))])
+    lines = [json.dumps([float(v) for v in q]) for q in queries]
+    per_line = [
+        json.dumps({"ids": [e.entry_id for e in r.entries],
+                    "similarities": [float(v) for v in r.similarities],
+                    "weights": [float(v) for v in r.weights]})
+        for r in (retrieve(q, kb, k=3) for q in queries)
+    ]
+    for count in (1, 31, 65):
+        path = tmp_path / f"q{count}.jsonl"
+        path.write_text("\n".join(lines[:count]) + "\n")
+        capsys.readouterr()
+        assert run(["retrieve", "--kb", str(kb_path), "--queries", str(path), "--k", "3"]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(per_line[:count]) + "\n"
 
 
 def test_ablate_parses_dataset_and_kb_once(synth_dir, tmp_path, monkeypatch, capsys):

@@ -469,6 +469,17 @@ def test_knowledge_base_from_list_equals_from_loaded_columns(tmp_path):
     assert from_list.d_model == loaded.d_model == 16
 
 
+def test_knowledge_base_from_loaded_columns_rejects_repeated_id(tmp_path):
+    from freqfuse.retrieval import KnowledgeBase
+
+    p = tmp_path / "kb.jsonl"
+    vectors = kb_vectors(3)
+    write_lines(p, [kb_line(0, vectors[0]), kb_line(0, vectors[1]), kb_line(2, vectors[2])])
+    columns = load_knowledge_base(str(p))
+    with pytest.raises(DataError, match="knowledge entry id 'k0' appears more than once"):
+        KnowledgeBase(columns)
+
+
 @pytest.mark.parametrize("value", [["x", 1.0, 1.0, 1.0], [[1.0], 1.0, 1.0, 1.0],
                                    [True, 1.0, 1.0, 1.0], ["1.5", 1.0, 1.0, 1.0]])
 def test_non_numeric_vector_elements_rejected(tmp_path, value):

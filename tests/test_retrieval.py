@@ -10,10 +10,12 @@ from freqfuse.errors import (
     RetrievalError,
 )
 from freqfuse.retrieval import (
+    _SCREEN_MIN_ENTRIES,
     DensityMatrix,
     KnowledgeBase,
     QuantumState,
     _block_width,
+    _screen,
     _top_k,
     density,
     fidelity,
@@ -188,6 +190,11 @@ def test_kb_validation():
         KnowledgeBase([entry(0, [1.0, 0.0]), entry(1, [1e300, 1e300])])
 
 
+def test_kb_rejects_repeated_id():
+    with pytest.raises(DataError, match="knowledge entry id 'e1' appears more than once"):
+        KnowledgeBase([entry(1, [1.0, 0.0]), entry(0, [0.0, 1.0]), entry(1, [1.0, 1.0])])
+
+
 def test_self_match_tops_the_ranking():
     rng = named_stream(1, "test-self-match")
     vecs = [rng.standard_normal(8) for _ in range(10)]
@@ -255,7 +262,7 @@ def test_top_k_matches_brute_force():
     q = rng.standard_normal(16)
     res = retrieve(q, kb, k=3)
     qn = q / np.linalg.norm(q)
-    brute = np.array([float(np.dot(qn, u)) ** 2 for u in kb.unit])
+    brute = np.array([float(np.einsum("d,d->", qn, u)) ** 2 for u in kb.unit])
     brute_order = np.argsort(-brute, kind="stable")[:3]
     assert list(res.indices) == list(brute_order)
 
@@ -353,6 +360,14 @@ def _tie_heavy_kb(rng, n, d=4):
     return KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
 
 
+def _pair_oracle_scores(queries, kb, similarity):
+    # the per-pair formula: each score is einsum's sum of one (query, entry)
+    # pair's d products, here over every pair at once
+    qn = queries / np.linalg.norm(queries, axis=1)[:, None]
+    cos = np.einsum("...d,...d->...", qn[:, None], kb.unit)
+    return cos * cos if similarity == "fidelity" else cos
+
+
 def _oracle_top_k(scores, k):
     # full stable ranking by (-score, entry index), independent of _top_k
     positions = np.arange(scores.shape[-1])
@@ -378,8 +393,7 @@ def test_top_k_matches_full_sort_oracle_with_ties():
             queries[~queries.any(axis=1)] = 1.0
             for k in sorted({1, max(1, n // 2), n}):
                 for similarity in ("fidelity", "cosine"):
-                    cos = (queries / np.linalg.norm(queries, axis=1)[:, None]) @ kb.unit.T
-                    scores = cos * cos if similarity == "fidelity" else cos
+                    scores = _pair_oracle_scores(queries, kb, similarity)
                     expect = _oracle_top_k(scores, k)
                     ranked = np.sort(scores, axis=1)[:, ::-1]
                     if k < n:
@@ -392,10 +406,8 @@ def test_top_k_matches_full_sort_oracle_with_ties():
                     assert np.array_equal(agg, want), (n, trial, k, similarity)
                     for q in queries:
                         single = retrieve(q, kb, k=k, similarity=similarity)
-                        qn = q / np.linalg.norm(q)
-                        cos1 = (qn[None, :] @ kb.unit.T)[0]
-                        score1 = cos1 * cos1 if similarity == "fidelity" else cos1
-                        assert list(single.indices) == list(_oracle_top_k(score1[None], k)[0])
+                        score1 = _pair_oracle_scores(q[None], kb, similarity)
+                        assert list(single.indices) == list(_oracle_top_k(score1, k)[0])
     assert boundary_ties > 50
 
 
@@ -430,8 +442,7 @@ def test_block_max_top_k_is_exact_where_blocks_prune(n):
     for k in (1, 3, nb - 1, nb, nb + 1, n):
         kb = _blocked_kb(rng, n, _block_width(n, k), anchors)
         for similarity in ("fidelity", "cosine"):
-            cos = (queries / np.linalg.norm(queries, axis=1)[:, None]) @ kb.unit.T
-            scores = cos * cos if similarity == "fidelity" else cos
+            scores = _pair_oracle_scores(queries, kb, similarity)
             expect = _oracle_top_k(scores, k)
             order, top, weights = _top_k(queries, kb, k, 0.1, similarity)
             assert np.array_equal(order, expect), (n, k, similarity)
@@ -442,3 +453,72 @@ def test_block_max_top_k_is_exact_where_blocks_prune(n):
             best = np.sort(scores, axis=1)[:, -2:]
             assert np.sum(best[:, 0] == best[:, 1]) >= 3
 
+
+
+@pytest.mark.parametrize("n", [8, 20000], ids=["all-pairs", "screened"])
+def test_retrieval_is_batch_invariant(n):
+    # every output row of a batch equals the single-query result bit for bit,
+    # in the full batch, a permuted batch and a subset
+    rng = named_stream(0, "test-batch-invariance", n)
+    vecs = rng.standard_normal((n, 64))
+    vecs[n // 2] = 4.0 * vecs[1]  # an exact tie
+    kb = KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
+    queries = np.concatenate([vecs[[1, 3]] + 0.01 * rng.standard_normal((2, 64)),
+                              rng.standard_normal((30, 64))])
+    perm = rng.permutation(len(queries))
+    assert (n < _SCREEN_MIN_ENTRIES) == (n == 8)
+    for similarity in ("fidelity", "cosine"):
+        singles = [retrieve(q, kb, k=3, similarity=similarity) for q in queries]
+        for batch in (np.arange(len(queries)), perm, perm[:7]):
+            order, top, weights = _top_k(queries[batch], kb, 3, 0.1, similarity)
+            agg = retrieve_batch(queries[batch], kb, k=3, similarity=similarity)
+            for row, i in enumerate(batch):
+                single = singles[i]
+                assert np.array_equal(order[row], single.indices), (similarity, i)
+                assert np.array_equal(top[row], single.similarities), (similarity, i)
+                assert np.array_equal(weights[row], single.weights), (similarity, i)
+                assert np.array_equal(agg[row], single.k_agg), (similarity, i)
+
+
+def _crowded_kb(rng, n, d, queries, per_query):
+    """n gaussian entries with, for each query, `per_query` entries at random
+    places whose fidelities sit within a few deltas of 1, half of them near the
+    query and half near its negation, so float32 rounding reorders them; and
+    for each of those a twin a few float64 steps away, so the two round to the
+    same float32 row while their float64 scores differ."""
+    vecs = rng.standard_normal((n, d))
+    places = rng.permutation(n)[: 2 * per_query * len(queries)].reshape(len(queries), -1, 2)
+    for q, spots in zip(queries, places):
+        sign = np.where(np.arange(per_query) % 2, -1.0, 1.0)[:, None]
+        near = sign * (q + 2e-4 * np.linalg.norm(q) * rng.standard_normal((per_query, d)))
+        vecs[spots[:, 0]] = near
+        vecs[spots[:, 1]] = near * (1.0 + 1e-15 * rng.standard_normal((per_query, d)))
+    return KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
+
+
+def test_screen_margin_keeps_the_exact_top_k():
+    n, d = 3001, 16
+    nb = n // _block_width(n, 3)
+    assert n >= _SCREEN_MIN_ENTRIES
+    rng = named_stream(0, "test-screen-margin")
+    queries = rng.standard_normal((4, d))
+    twins = 0
+    for k in (1, 3, nb - 1, nb, nb + 1):
+        kb = _crowded_kb(rng, n, d, queries, per_query=60)
+        unit32 = kb.unit32
+        twins += len(unit32) - len(np.unique(unit32, axis=0))
+        for similarity in ("fidelity", "cosine"):
+            scores = _pair_oracle_scores(queries, kb, similarity)
+            expect = _oracle_top_k(scores, k)
+            order, top, weights = _top_k(queries, kb, k, 0.1, similarity)
+            assert np.array_equal(order, expect), (k, similarity)
+            want = np.take_along_axis(scores, expect, axis=1)
+            assert np.array_equal(top, want), (k, similarity)
+            assert np.array_equal(weights, ops.softmax(Tensor(want / 0.1)).data)
+            # the screen keeps each query's top k, and ranks by float64, not float32
+            rows, cols = _screen(queries / np.linalg.norm(queries, axis=1)[:, None], kb, k,
+                                 similarity)
+            kept = set(zip(rows.tolist(), cols.tolist()))
+            assert all((r, c) in kept for r in range(len(queries)) for c in expect[r])
+    # twins round to one float32 row yet score differently in float64
+    assert twins > 100
