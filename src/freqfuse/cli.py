@@ -199,6 +199,21 @@ def _require(value, flag: str):
     return value
 
 
+def _out_dir(args, file_values, required: bool = True) -> str | None:
+    """The resolved --out-dir, made now if missing, so that a path that is not
+    a directory and cannot be made fails before any work starts."""
+    out_dir = _resolve(args, file_values, "out_dir")
+    if out_dir is None:
+        return _require(out_dir, "--out-dir") if required else None
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out-dir {out_dir} is not a directory and cannot be made: {exc.strerror}"
+        ) from exc
+    return out_dir
+
+
 def _load_kb(path: str | None) -> KnowledgeBase | None:
     if path is None:
         return None
@@ -215,7 +230,7 @@ def _fold_payload(result: FoldResult) -> dict:
 
 
 def cmd_synth(args, file_values) -> int:
-    out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
+    out_dir = _out_dir(args, file_values)
     seed = _resolve(args, file_values, "seed", 0, int)
     manifest, samples, kb = data_mod.generate_synthetic(
         n_classes=args.classes,
@@ -244,10 +259,10 @@ def _load_train_inputs(dataset_path: str, kb_path: str | None):
 def cmd_train(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
-    out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
     workers = _resolve(args, file_values, "workers", kind=int)
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
+    out_dir = _out_dir(args, file_values)
     manifest, samples, kb = _load_train_inputs(dataset_path, kb_path)
     fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
     jobs = [(config, fold) for fold in folds]
@@ -276,6 +291,7 @@ def cmd_train(args, file_values) -> int:
 def cmd_eval(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
+    out_dir = _out_dir(args, file_values, required=False)
     manifest, samples = data_mod.load_dataset(dataset_path)
     if not samples:
         raise DataError(f"{dataset_path}: dataset has no samples to evaluate")
@@ -318,7 +334,6 @@ def cmd_eval(args, file_values) -> int:
         config,
     )
     payload = json.dumps({"metrics": asdict(report)}, indent=2) + "\n"
-    out_dir = _resolve(args, file_values, "out_dir")
     if out_dir:
         data_mod.atomic_write_text(os.path.join(out_dir, "metrics.json"), payload)
         print(os.path.join(out_dir, "metrics.json"))
@@ -329,6 +344,7 @@ def cmd_eval(args, file_values) -> int:
 
 def cmd_retrieve(args, file_values) -> int:
     kb_path = _require(_resolve(args, file_values, "kb"), "--kb")
+    out_dir = _out_dir(args, file_values, required=False)
     kb = _load_kb(kb_path)
     _check_options(kb, args.k, args.tau, args.similarity)
     vectors = []
@@ -365,7 +381,6 @@ def cmd_retrieve(args, file_values) -> int:
                 )
             )
     text = "\n".join(outputs) + "\n"
-    out_dir = _resolve(args, file_values, "out_dir")
     if out_dir:
         data_mod.atomic_write_text(os.path.join(out_dir, "retrieval.jsonl"), text)
         print(os.path.join(out_dir, "retrieval.jsonl"))
@@ -376,6 +391,8 @@ def cmd_retrieve(args, file_values) -> int:
 
 def cmd_gradcheck(args, file_values) -> int:
     seed = _resolve(args, file_values, "seed", 0, int)
+    if not 0 < args.tolerance < np.inf:
+        raise ConfigError(f"--tolerance must be positive and finite, got {args.tolerance}")
     results = run_all(seed=seed, tolerance=args.tolerance)
     all_ok = True
     for r in results:
@@ -387,7 +404,7 @@ def cmd_gradcheck(args, file_values) -> int:
 
 def cmd_spectrum(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
-    out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
+    out_dir = _out_dir(args, file_values)
     manifest, samples = data_mod.load_dataset(dataset_path)
     if args.limit > 0:
         samples = samples[: args.limit]
@@ -411,10 +428,10 @@ def cmd_spectrum(args, file_values) -> int:
 def cmd_ablate(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
     kb_path = _resolve(args, file_values, "kb")
-    out_dir = _require(_resolve(args, file_values, "out_dir"), "--out-dir")
     workers = _resolve(args, file_values, "workers", kind=int)
     config = _train_config_from(args, file_values)
     folds = _selected_folds(args, config)
+    out_dir = _out_dir(args, file_values)
     results = run_ablation_suite(*_load_train_inputs(dataset_path, kb_path), config, folds, workers)
 
     rows = []
@@ -460,6 +477,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"freqfuse: numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's names the array's size, shape and dtype
+        print(f"freqfuse: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ and every following line is one sample:
      "question_features": [...]}             # 300 floats, OR "question_tokens": [int, ...]
 
 Knowledge bases are JSON Lines with no header; each line is
-{"id": "...", "text": "...", "embedding": [d_model floats]}. A large one is
-parsed in byte ranges, one per available core, each in its own process.
+{"id": "...", "text": "...", "embedding": [d_model floats]}. Its embeddings
+are parsed into one preallocated matrix. A large one is parsed in byte ranges,
+one per available core: the loading process parses the first, and a spawned
+process each of the others.
 
 Lines split on "\n" only, as JSON Lines specifies; a "\r\n" ending parses.
 """
@@ -23,7 +25,6 @@ import sys
 import tempfile
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import current_process, get_context
 
@@ -271,7 +272,7 @@ def save_dataset(path: str, manifest: DatasetManifest, samples: list[Sample]) ->
             obj["question_tokens"] = [int(t) for t in sample.question_tokens]
         else:
             obj["question_features"] = [float(v) for v in sample.question_features]
-        rows.append(json.dumps(obj))
+        rows.append(json.dumps(obj, allow_nan=False))
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
@@ -317,10 +318,22 @@ def _first_width(path: str) -> int | None:
     return None
 
 
-def _checked_block(rows: list[list], linenos: list[int], path: str) -> np.ndarray:
-    """The rows as one float64 matrix; the first row that is not finite, whose
-    norm overflows float64 or that has zero norm is a DataError naming its line."""
-    block = np.array(rows, dtype=np.float64)
+def _kb_newlines(path: str, start: int, end: int) -> int:
+    """The newlines in bytes [start, end) of a KB file."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            return sum(
+                fh.read(min(_READ_BYTES, end - offset)).count(b"\n")
+                for offset in range(start, end, _READ_BYTES)
+            )
+    except OSError as exc:
+        raise DataError(f"cannot read knowledge base {path}: {exc}") from exc
+
+
+def _check_block(block: np.ndarray, linenos: list[int], path: str) -> None:
+    """The first row of `block` that is not finite, whose norm overflows
+    float64 or that has zero norm is a DataError naming its line."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(block, axis=1)
     bad = ~np.isfinite(norms) | (norms <= 1e-12)  # a NaN or Inf element makes the norm so too
@@ -332,27 +345,26 @@ def _checked_block(rows: list[list], linenos: list[int], path: str) -> np.ndarra
         if not np.isfinite(norms[i]):
             raise DataError(f"{where}: embedding norm overflows float64")
         raise DataError(f"{where}: embedding has zero norm")
-    return block
 
 
-def _parse_kb_range(path: str, start: int, end: int, dim: int | None):
-    """Ids, texts and checked embedding blocks of the KB lines in bytes
-    [start, end) of `path`; errors name the line's number in the whole file.
-    Module-level so a process pool can send it by name, and private because a
-    wrapped function cannot be sent (perfbench's tracer wraps public ones)."""
-    ids, texts, rows, linenos, blocks = [], [], [], [], []
+def _parse_kb_range(path: str, start: int, end: int, out: np.ndarray):
+    """Ids and texts of the KB lines in bytes [start, end) of `path`. Their
+    embeddings, each out.shape[1] wide, fill the leading rows of `out` and are
+    checked there; errors name the line's number in the whole file."""
+    ids, texts, rows, linenos = [], [], [], []
 
     def flush():
         if rows:
-            blocks.append(_checked_block(rows, linenos, path))
+            block = out[len(ids) - len(rows) : len(ids)]
+            block[...] = rows
+            _check_block(block, linenos, path)
             rows.clear()
             linenos.clear()
 
+    first = 1 + _kb_newlines(path, 0, start)
     try:
         with open(path, "rb") as fh:
-            first = 1
-            for offset in range(0, start, _READ_BYTES):
-                first += fh.read(min(_READ_BYTES, start - offset)).count(b"\n")
+            fh.seek(start)
             for lineno, line in _text_lines(fh, path, first, end - start):
                 if not line.strip():
                     continue
@@ -366,9 +378,7 @@ def _parse_kb_range(path: str, start: int, end: int, dim: int | None):
                 raw = obj["embedding"]
                 if not isinstance(raw, list) or not raw:
                     raise DataError(f"{where}: embedding must be a non-empty list of numbers")
-                if dim is None:
-                    dim = len(raw)
-                _check_vector(raw, dim, f"{where}: embedding")
+                _check_vector(raw, out.shape[1], f"{where}: embedding")
                 ids.append(obj["id"])
                 texts.append(obj["text"])
                 rows.append(raw)
@@ -381,33 +391,73 @@ def _parse_kb_range(path: str, start: int, end: int, dim: int | None):
         flush()  # a fault on an earlier line of the range is reported first
         raise
     flush()
-    return ids, texts, blocks
+    return ids, texts
+
+
+def _kb_range_worker(conn, path: str, start: int, end: int, dim: int) -> None:
+    """Parse one byte range of a KB file in a spawned process. Sends the ids
+    and texts, or the error, then the rows as raw bytes. Module-level so the
+    process can find it by name, and private because a wrapped function cannot
+    be sent (perfbench's tracer wraps public ones)."""
+    try:
+        out = np.empty((1 + _kb_newlines(path, start, end), dim))
+        part = _parse_kb_range(path, start, end, out)
+    except Exception as exc:
+        conn.send(exc)
+        return
+    conn.send(part)
+    conn.send_bytes(out[: len(part[0])])
 
 
 def load_knowledge_base(path: str, d_model: int | None = None) -> KnowledgeColumns:
-    """The KB file as columns. A large file is parsed in byte ranges, one per
-    process; the earliest range's error wins, so whatever faults the file holds
-    the error names the first faulty line."""
+    """The KB file as columns. The embeddings are parsed into one matrix, sized
+    by the file's line count. A large file is parsed in byte ranges: this
+    process parses the first, and one spawned process each of the others,
+    whose rows are read straight into their place. The earliest range's error
+    wins, so whatever faults the file holds the error names the first faulty
+    line."""
     try:
-        ranges = _kb_ranges(path)
-        if len(ranges) > 1 and d_model is None:
-            d_model = _first_width(path)
+        dim = _first_width(path) if d_model is None else d_model
+        # with no width the first non-blank line is faulty, or the file is blank
+        ranges = _kb_ranges(path) if dim is not None else [(0, os.path.getsize(path))]
     except OSError as exc:
         raise DataError(f"cannot read knowledge base {path}: {exc}") from exc
-    jobs = [(path, start, end, d_model) for start, end in ranges]
-    if len(jobs) == 1:
-        parts = [_parse_kb_range(*jobs[0])]
-    else:
-        with ProcessPoolExecutor(len(jobs), mp_context=get_context("spawn")) as pool:
-            parts = list(pool.map(_parse_kb_range, *zip(*jobs)))
-    blocks = [block for _, _, part_blocks in parts for block in part_blocks]
-    if not blocks:
+    context = get_context("spawn")
+    workers = []
+    try:
+        for start, end in ranges[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_kb_range_worker, args=(sender, path, start, end, dim), daemon=True
+            )
+            process.start()
+            sender.close()
+            workers.append((process, receiver))
+        matrix = np.empty((1 + _kb_newlines(path, 0, ranges[-1][1]), dim or 0))
+        ids, texts = _parse_kb_range(path, *ranges[0], matrix)
+        for process, receiver in workers:
+            try:
+                part = receiver.recv()
+            except EOFError:
+                process.join()
+                raise DataError(
+                    f"cannot read knowledge base {path}: a parsing process ended "
+                    f"with exit code {process.exitcode}"
+                ) from None
+            if isinstance(part, Exception):
+                raise part
+            n = len(ids)
+            receiver.recv_bytes_into(matrix[n : n + len(part[0])].reshape(-1))
+            ids += part[0]
+            texts += part[1]
+    finally:
+        for process, receiver in workers:
+            process.terminate()  # a no-op once it has ended
+            process.join()
+            receiver.close()
+    if not ids:
         raise DataError(f"{path}: knowledge base is empty")
-    return KnowledgeColumns(
-        ids=[i for part_ids, _, _ in parts for i in part_ids],
-        texts=[t for _, part_texts, _ in parts for t in part_texts],
-        embeddings=np.concatenate(blocks),
-    )
+    return KnowledgeColumns(ids=ids, texts=texts, embeddings=matrix[: len(ids)])
 
 
 def save_knowledge_base(path: str, entries: list[KnowledgeEntry]) -> None:
@@ -417,7 +467,8 @@ def save_knowledge_base(path: str, entries: list[KnowledgeEntry]) -> None:
                 "id": entry.entry_id,
                 "text": entry.text,
                 "embedding": [float(v) for v in entry.embedding],
-            }
+            },
+            allow_nan=False,
         )
         for entry in entries
     ]
@@ -515,10 +566,10 @@ def generate_synthetic(
     """
     if n_per_class < 1 or samples_per_image < 1:
         raise ConfigError("n_per_class and samples_per_image must be >= 1")
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
-    if amplitude <= 0:
-        raise ConfigError(f"amplitude must be positive, got {amplitude}")
+    if not 0 <= sigma < np.inf:
+        raise ConfigError(f"sigma must be >= 0 and finite, got {sigma}")
+    if not 0 < amplitude < np.inf:
+        raise ConfigError(f"amplitude must be positive and finite, got {amplitude}")
     freqs = class_frequencies(n_classes, d_model)
     manifest = DatasetManifest(n_classes=n_classes, d_model=d_model, feature_layout="precomputed")
 

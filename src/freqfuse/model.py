@@ -279,7 +279,7 @@ def save_checkpoint(path: str, params: ModelParams, extra_meta: dict | None = No
             for name, t in params.named().items()
         },
     }
-    atomic_write_text(path, json.dumps(blob))
+    atomic_write_text(path, json.dumps(blob, allow_nan=False))
 
 
 # exact JSON types: a JSON true is a bool, not an int

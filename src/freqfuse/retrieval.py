@@ -125,8 +125,14 @@ class KnowledgeBase:
             dup = next(i for i in ids if counts[i] > 1)
             raise DataError(f"knowledge entry id {dup!r} appears more than once")
         self.embeddings = self.columns.embeddings
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.embeddings, axis=1)
+        self.norms = norms = np.empty(len(ids))
+        self.unit32 = np.empty(self.embeddings.shape, dtype=np.float32)
+        # a bad row's unit row is junk, and the checks below reject it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for start in range(0, len(ids), _UNIT_CHUNK_ROWS):
+                rows = slice(start, start + _UNIT_CHUNK_ROWS)
+                norms[rows] = np.linalg.norm(self.embeddings[rows], axis=1)
+                self.unit32[rows] = self.unit_rows(rows)
         finite = np.isfinite(norms)
         if not finite.all():
             bad = ids[int(np.argmin(finite))]
@@ -134,11 +140,6 @@ class KnowledgeBase:
         if np.any(norms <= NORM_EPS):
             bad = ids[int(np.argmin(norms))]
             raise DataError(f"knowledge entry {bad!r} has zero-norm embedding")
-        self.norms = norms
-        self.unit32 = np.empty(self.embeddings.shape, dtype=np.float32)
-        for start in range(0, len(norms), _UNIT_CHUNK_ROWS):
-            rows = slice(start, start + _UNIT_CHUNK_ROWS)
-            self.unit32[rows] = self.unit_rows(rows)
 
     def __len__(self):
         return len(self.columns)

@@ -548,6 +548,36 @@ def _train_flags(*extra):
     return build
 
 
+def _argv(command, *extra):
+    """`command` with `extra` flags, writing (if it writes) under tmp_path/out."""
+
+    def build(tmp_path, synth_dir, ckpt):
+        return [command, "--out-dir", str(tmp_path / "out"), *extra]
+
+    return build
+
+
+def _out_dir_is_a_file(command):
+    """`command` on the synthetic data with an --out-dir that names a file."""
+
+    def build(tmp_path, synth_dir, ckpt):
+        out = tmp_path / "a-file"
+        out.write_text("")
+        dataset = str(synth_dir / "dataset.jsonl")
+        inputs = ["--dataset", dataset, "--kb", str(synth_dir / "kb.jsonl")]
+        argv = {
+            "synth": lambda: ["synth"],
+            "train": lambda: ["train", *inputs, "--max-epochs", "1"],
+            "ablate": lambda: ["ablate", *inputs, "--fold", "0", "--max-epochs", "1"],
+            "eval": lambda: _eval_args(synth_dir, ckpt),
+            "retrieve": lambda: _retrieve_flags()(tmp_path, synth_dir, ckpt),
+            "spectrum": lambda: ["spectrum", "--dataset", dataset],
+        }[command]()
+        return argv + ["--out-dir", str(out)]
+
+    return build
+
+
 @pytest.mark.parametrize(
     "build, expected",
     [
@@ -605,6 +635,17 @@ def _train_flags(*extra):
         (_vector_element("embedding", 1e300), EXIT_DATA),
         (_dataset_with_more_classes, EXIT_DATA),
         (_kb_id_repeated, EXIT_DATA),
+        (_argv("synth", "--sigma", "nan"), EXIT_USAGE),
+        (_argv("synth", "--amplitude", "inf"), EXIT_USAGE),
+        (_argv("gradcheck", "--tolerance", "nan"), EXIT_USAGE),
+        (_argv("gradcheck", "--tolerance", "-1"), EXIT_USAGE),
+        (_out_dir_is_a_file("synth"), EXIT_USAGE),
+        (_out_dir_is_a_file("train"), EXIT_USAGE),
+        (_out_dir_is_a_file("ablate"), EXIT_USAGE),
+        (_out_dir_is_a_file("eval"), EXIT_USAGE),
+        (_out_dir_is_a_file("retrieve"), EXIT_USAGE),
+        (_out_dir_is_a_file("spectrum"), EXIT_USAGE),
+        (_train_flags("--hidden1", "100000000000"), EXIT_USAGE),
     ],
     ids=[
         "retrieve-query-width",
@@ -661,6 +702,17 @@ def _train_flags(*extra):
         "kb-embedding-norm-overflows",
         "eval-label-beyond-checkpoint-classes",
         "kb-id-repeated",
+        "synth-sigma-nan",
+        "synth-amplitude-inf",
+        "gradcheck-tolerance-nan",
+        "gradcheck-tolerance-negative",
+        "synth-out-dir-is-a-file",
+        "train-out-dir-is-a-file",
+        "ablate-out-dir-is-a-file",
+        "eval-out-dir-is-a-file",
+        "retrieve-out-dir-is-a-file",
+        "spectrum-out-dir-is-a-file",
+        "train-hidden1-beyond-memory",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,

@@ -1,6 +1,6 @@
 import json
 import os
-from multiprocessing import get_context
+from multiprocessing import active_children, get_context
 
 import numpy as np
 import pytest
@@ -435,6 +435,40 @@ def test_kb_width_fixed_by_first_non_blank_line(tmp_path, ranges_of, count):
     assert len(data_mod._kb_ranges(str(p))) == count
     with pytest.raises(DataError, match=f"line {narrow}: embedding: expected a list of 4 numbers"):
         load_knowledge_base(str(p))
+
+
+@pytest.mark.parametrize("faulty", [0, 2])
+def test_kb_load_reaps_its_workers_on_a_fault(tmp_path, ranges_of, faulty):
+    lines = [kb_line(i, v) for i, v in enumerate(kb_vectors(30))]
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, lines)
+    ranges_of(3)
+    ranges = data_mod._kb_ranges(str(p))
+    # the second line of the faulty range, and the last line of the file
+    lineno = p.read_bytes()[: ranges[faulty][0]].count(b"\n") + 2
+    corrupt, message = KB_FAULTS["missing-key"]
+    for i in (lineno, len(lines)):
+        lines[i - 1] = corrupt(lines[i - 1])
+    write_lines(p, lines)
+    assert data_mod._kb_ranges(str(p)) == ranges
+    with pytest.raises(DataError, match=f"line {lineno}: {message}"):
+        load_knowledge_base(str(p))
+    assert active_children() == []
+
+
+def test_kb_load_reaps_its_workers_on_an_interrupt(tmp_path, ranges_of, monkeypatch):
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, [kb_line(i, v) for i, v in enumerate(kb_vectors(30))])
+    ranges_of(3)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    # only this process's own range is patched; the spawned ones parse as usual
+    monkeypatch.setattr(data_mod, "_parse_kb_range", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        load_knowledge_base(str(p))
+    assert active_children() == []
 
 
 def _load_with_ranges_forced(path):
