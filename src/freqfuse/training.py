@@ -8,6 +8,8 @@ config seed, so identical (config, data) reruns produce identical metrics.
 
 import math
 import os
+import pickle
+import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -436,13 +438,14 @@ def _train_one_fold(inputs, config: TrainConfig, fold: int) -> FoldResult:
     return train_fold(manifest, samples, kb, config, fold_ids, fold)
 
 
-# the (manifest, samples, kb, fold_ids) of a pool worker, handed over once at its start
+# the (manifest, samples, kb, fold_ids) of a pool worker, read once at its start
 _worker_inputs = None
 
 
-def _init_worker(inputs) -> None:
+def _init_worker(inputs_path: str) -> None:
     global _worker_inputs
-    _worker_inputs = inputs
+    with open(inputs_path, "rb") as fh:
+        _worker_inputs = pickle.load(fh)
 
 
 def _worker_fold_job(job) -> FoldResult:
@@ -487,15 +490,23 @@ def _run_fold_jobs(inputs, jobs, workers: int | None = None) -> list[FoldResult]
     workers = min(workers, len(jobs))
     if workers <= 1 or current_process().daemon:
         return [_train_one_fold(inputs, *job) for job in jobs]
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=get_context("spawn"),
-        initializer=_init_worker,
-        initargs=(inputs,),
-    ) as pool:
-        with _one_blas_thread_in_children():  # a spawn pool starts its workers in submit
-            futures = [pool.submit(_worker_fold_job, job) for job in jobs]
-        return [future.result() for future in futures]
+    # The inputs are streamed to a file once, which each worker reads. Passed
+    # as initargs, they would be pickled into one buffer per worker start, and
+    # whether malloc hands such a freed buffer back depends on the heap layout,
+    # so this process's peak memory would vary by ~10 MB from run to run.
+    with tempfile.TemporaryDirectory(prefix="freqfuse-pool-") as tmp:
+        inputs_path = os.path.join(tmp, "inputs.pickle")
+        with open(inputs_path, "wb") as fh:
+            pickle.dump(inputs, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=get_context("spawn"),
+            initializer=_init_worker,
+            initargs=(inputs_path,),
+        ) as pool:
+            with _one_blas_thread_in_children():  # a spawn pool starts its workers in submit
+                futures = [pool.submit(_worker_fold_job, job) for job in jobs]
+            return [future.result() for future in futures]
 
 
 def run_ablation_suite(

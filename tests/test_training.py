@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,45 @@ def test_ablation_suite_on_default_workers_equals_serial(clean_data):
             b.fold, b.best_epoch, b.metrics, b.history), name
         for key, tensor in a.params.named().items():
             assert tensor.data.tobytes() == b.params.named()[key].data.tobytes(), (name, key)
+
+
+def test_pool_workers_read_inputs_from_a_removed_file(clean_data, monkeypatch):
+    """The pool is handed a path, not the inputs: the file holds them while
+    the workers start, and is gone once the jobs are done."""
+    from concurrent.futures import Future
+
+    from freqfuse import training
+
+    seen = []
+
+    class FilePool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            seen.append(initargs)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    manifest, samples, kb = clean_data
+    cfg = small_config(max_epochs=1, hidden1=16, hidden2=8)
+    fold_ids = make_folds(samples, k=cfg.folds, seed=cfg.seed)
+    inputs = (manifest, samples, kb, fold_ids)
+    monkeypatch.setattr(training, "ProcessPoolExecutor", FilePool)
+    monkeypatch.setattr(training, "_worker_inputs", None)
+    (a, b) = training._run_fold_jobs(inputs, [(cfg, 0), (cfg, 1)], workers=2)
+    [(path,)] = seen
+    assert isinstance(path, str) and not os.path.exists(path)
+    assert np.array_equal(training._worker_inputs[3], fold_ids)
+    assert training._worker_inputs[2].embeddings.tobytes() == kb.embeddings.tobytes()
+    assert (a.fold, b.fold) == (0, 1)
 
 
 def test_without_contrastive_total_equals_ce(clean_data):
