@@ -276,7 +276,8 @@ def cmd_train(args, file_values) -> int:
         "summary": summarize([results[fold].metrics for fold in folds]),
     }
     data_mod.atomic_write_text(
-        os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n"
+        os.path.join(out_dir, "summary.json"),
+        json.dumps(summary, indent=2, allow_nan=False) + "\n",
     )
     for fold in folds:
         save_checkpoint(
@@ -333,7 +334,7 @@ def cmd_eval(args, file_values) -> int:
         kb,
         config,
     )
-    payload = json.dumps({"metrics": asdict(report)}, indent=2) + "\n"
+    payload = json.dumps({"metrics": asdict(report)}, indent=2, allow_nan=False) + "\n"
     if out_dir:
         data_mod.atomic_write_text(os.path.join(out_dir, "metrics.json"), payload)
         print(os.path.join(out_dir, "metrics.json"))
@@ -442,7 +443,8 @@ def cmd_ablate(args, file_values) -> int:
     write_metrics_csv(os.path.join(out_dir, "ablation.csv"), rows)
     data_mod.atomic_write_text(
         os.path.join(out_dir, "ablation_summary.json"),
-        json.dumps({"config": asdict(config), "summary": summary}, indent=2) + "\n",
+        json.dumps({"config": asdict(config), "summary": summary}, indent=2, allow_nan=False)
+        + "\n",
     )
     print(os.path.join(out_dir, "ablation.csv"))
     return EXIT_OK
@@ -479,6 +481,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except MemoryError as exc:  # numpy's names the array's size, shape and dtype
         print(f"freqfuse: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # a write that fails after the --out-dir check; names the file
+        print(f"freqfuse: I/O error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

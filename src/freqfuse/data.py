@@ -44,7 +44,11 @@ MAX_TOKENS = 50
 _KB_CHUNK_BYTES = 16 << 20
 # KB rows converted and checked together; bounds the Python floats held at once
 _KB_BLOCK_ROWS = 1024
-_READ_BYTES = 16 << 20
+# Bytes read at once to count a KB file's newlines. Kept small: freeing such
+# a buffer makes glibc's malloc raise its mmap threshold to the buffer's size,
+# and later buffers then come from the heap, which keeps up to twice that
+# resident once they are freed (13 MB on the 1e5-entry benchmark KB at 16 MB).
+_READ_BYTES = 1 << 20
 _NUMBER_TYPES = {float, int}
 
 
@@ -102,17 +106,21 @@ class KnowledgeColumns:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory so readers never see a torn file."""
+    """Write via a temp file in the same directory so readers never see a torn
+    file. An OSError (a full disk, say) is raised again naming `path`."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 
@@ -394,9 +402,15 @@ def _parse_kb_range(path: str, start: int, end: int, out: np.ndarray):
     return ids, texts
 
 
+def _bytes_of(rows: np.ndarray) -> memoryview:
+    """The bytes of C-contiguous `rows`, as a flat view that shares their memory."""
+    return memoryview(rows.reshape(-1).view(np.uint8))
+
+
 def _kb_range_worker(conn, path: str, start: int, end: int, dim: int) -> None:
     """Parse one byte range of a KB file in a spawned process. Sends the ids
-    and texts, or the error, then the rows as raw bytes. Module-level so the
+    and texts, or the error, then writes the rows' raw bytes to the pipe,
+    unframed: the receiver knows their count from the ids. Module-level so the
     process can find it by name, and private because a wrapped function cannot
     be sent (perfbench's tracer wraps public ones)."""
     try:
@@ -406,7 +420,28 @@ def _kb_range_worker(conn, path: str, start: int, end: int, dim: int) -> None:
         conn.send(exc)
         return
     conn.send(part)
-    conn.send_bytes(out[: len(part[0])])
+    view = _bytes_of(out[: len(part[0])])
+    while view:
+        view = view[os.write(conn.fileno(), view) :]
+
+
+def _worker_ended(process, path: str) -> DataError:
+    process.join()
+    return DataError(
+        f"cannot read knowledge base {path}: a parsing process ended "
+        f"with exit code {process.exitcode}"
+    )
+
+
+def _read_rows(receiver, process, rows: np.ndarray, path: str) -> None:
+    """Fill `rows` from a worker's pipe, reading its file descriptor straight
+    into them: no message buffer the size of the rows is ever made."""
+    view = _bytes_of(rows)
+    while view:
+        got = os.readv(receiver.fileno(), [view])
+        if not got:  # the worker ended before sending every row
+            raise _worker_ended(process, path)
+        view = view[got:]
 
 
 def load_knowledge_base(path: str, d_model: int | None = None) -> KnowledgeColumns:
@@ -439,15 +474,11 @@ def load_knowledge_base(path: str, d_model: int | None = None) -> KnowledgeColum
             try:
                 part = receiver.recv()
             except EOFError:
-                process.join()
-                raise DataError(
-                    f"cannot read knowledge base {path}: a parsing process ended "
-                    f"with exit code {process.exitcode}"
-                ) from None
+                raise _worker_ended(process, path) from None
             if isinstance(part, Exception):
                 raise part
             n = len(ids)
-            receiver.recv_bytes_into(matrix[n : n + len(part[0])].reshape(-1))
+            _read_rows(receiver, process, matrix[n : n + len(part[0])], path)
             ids += part[0]
             texts += part[1]
     finally:

@@ -208,6 +208,20 @@ def compute_metrics(labels: np.ndarray, probs: np.ndarray) -> MetricsReport:
     )
 
 
+# rows `predict_probs` sends through the model at once: every product then has
+# one shape, so a row's bits do not depend on the rest of its batch
+_INFERENCE_TILE = 32
+
+
+def _tile(x: np.ndarray, start: int) -> np.ndarray:
+    """Rows [start, start + _INFERENCE_TILE) of x; a short last tile is padded
+    with copies of its last row (a zero row would be a degenerate query)."""
+    rows = x[start : start + _INFERENCE_TILE]
+    if len(rows) == _INFERENCE_TILE:
+        return rows
+    return np.concatenate([rows, np.repeat(rows[-1:], _INFERENCE_TILE - len(rows), axis=0)])
+
+
 def predict_probs(
     params: ModelParams,
     questions: np.ndarray,
@@ -215,10 +229,19 @@ def predict_probs(
     kb: KnowledgeBase | None,
     config: TrainConfig,
 ) -> np.ndarray:
-    result = forward_batch(
-        params, questions, images, kb, train=False, options=config.forward_options()
-    )
-    return ops.softmax(result.logits).data
+    """Softmax class probabilities, one row per sample. The model runs on
+    _INFERENCE_TILE rows at a time, so memory is bounded by the tile, not the
+    split, and each row's probabilities are the same bits in any split."""
+    options = config.forward_options()
+    probs = np.empty((len(questions), params.n_classes))
+    for start in range(0, len(questions), _INFERENCE_TILE):
+        result = forward_batch(
+            params, _tile(questions, start), _tile(images, start), kb, train=False,
+            options=options,
+        )
+        rows = probs[start : start + _INFERENCE_TILE]
+        rows[...] = ops.softmax(result.logits).data[: len(rows)]
+    return probs
 
 
 def evaluate_arrays(
@@ -293,6 +316,7 @@ def train_fold(
     named = params.named()
     state = AdamState(named)
     options = config.forward_options()
+    val_questions, val_images, val_labels = questions[val_idx], images[val_idx], labels[val_idx]
 
     best_acc = -1.0
     best_epoch = -1
@@ -358,9 +382,7 @@ def train_fold(
             ce_sum += breakdown.ce * len(idx)
             contrast_sum += (breakdown.total - breakdown.ce) * len(idx)
 
-        val_metrics = evaluate_arrays(
-            params, questions[val_idx], images[val_idx], labels[val_idx], kb, config
-        )
+        val_metrics = evaluate_arrays(params, val_questions, val_images, val_labels, kb, config)
         history.append(
             EpochRecord(
                 epoch=epoch,

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -724,6 +725,37 @@ def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowled
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("freqfuse: ")
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "ablate", "eval", "retrieve", "spectrum"])
+def test_failed_write_exits_with_one_line(command, synth_dir, knowledge_ckpt, tmp_path,
+                                          monkeypatch, capsys):
+    """A write that fails after the --out-dir check (here a full disk) exits 1
+    with one line naming the file, not a traceback."""
+    from freqfuse import data as data_mod
+
+    def disk_full(path, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    small = ["--folds", "2", "--fold", "0", "--max-epochs", "1", "--hidden1", "16",
+             "--hidden2", "8", "--workers", "1"]
+    dataset = str(synth_dir / "dataset.jsonl")
+    inputs = ["--dataset", dataset, "--kb", str(synth_dir / "kb.jsonl")]
+    argv = {
+        "synth": ["synth"],
+        "train": ["train", *inputs, *small],
+        "ablate": ["ablate", *inputs, *small],
+        "eval": _eval_args(synth_dir, knowledge_ckpt),
+        "retrieve": _retrieve_flags()(tmp_path, synth_dir, knowledge_ckpt),
+        "spectrum": ["spectrum", "--dataset", dataset],
+    }[command]
+    monkeypatch.setattr(data_mod, "atomic_write_text", disk_full)
+    capsys.readouterr()
+    assert run(argv + ["--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("freqfuse: I/O error: [Errno 28] No space left on device: ")
+    assert str(tmp_path / "out") in err
 
 
 def test_bad_norms_are_named_by_line(synth_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 from multiprocessing import active_children, get_context
@@ -296,6 +297,18 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(target.parent) == ["d.jsonl"]
 
 
+def test_atomic_write_failure_names_the_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(data_mod.os, "replace", disk_full)
+    target = tmp_path / "summary.json"
+    with pytest.raises(OSError) as info:
+        data_mod.atomic_write_text(str(target), "{}\n")
+    assert info.value.errno == errno.ENOSPC and info.value.filename == str(target)
+    assert os.listdir(tmp_path) == []
+
+
 def kb_line(i, embedding, text=None):
     return json.dumps({"id": f"k{i}", "text": text or f"entry {i}", "embedding": embedding})
 
@@ -467,6 +480,26 @@ def test_kb_load_reaps_its_workers_on_an_interrupt(tmp_path, ranges_of, monkeypa
     # only this process's own range is patched; the spawned ones parse as usual
     monkeypatch.setattr(data_mod, "_parse_kb_range", interrupted)
     with pytest.raises(KeyboardInterrupt):
+        load_knowledge_base(str(p))
+    assert active_children() == []
+
+
+def _worker_dies_midway(conn, path, start, end, dim):
+    """Runs in a spawned KB worker: sends its ids and texts, writes half of
+    its rows' bytes, then exits with code 3."""
+    out = np.empty((1 + data_mod._kb_newlines(path, start, end), dim))
+    part = data_mod._parse_kb_range(path, start, end, out)
+    conn.send(part)
+    os.write(conn.fileno(), out[: len(part[0])].tobytes()[: len(part[0]) * dim * 4])
+    os._exit(3)
+
+
+def test_kb_worker_that_dies_midway_is_a_data_error(tmp_path, ranges_of, monkeypatch):
+    p = tmp_path / "kb.jsonl"
+    write_lines(p, [kb_line(i, v) for i, v in enumerate(kb_vectors(30))])
+    ranges_of(2)
+    monkeypatch.setattr(data_mod, "_kb_range_worker", _worker_dies_midway)
+    with pytest.raises(DataError, match="a parsing process ended with exit code 3"):
         load_knowledge_base(str(p))
     assert active_children() == []
 

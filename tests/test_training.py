@@ -4,11 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from freqfuse.data import generate_synthetic
+from freqfuse import retrieval
+from freqfuse.cli import EXIT_OK, main
+from freqfuse.data import (
+    KnowledgeEntry,
+    generate_synthetic,
+    image_matrix,
+    question_matrix,
+    save_dataset,
+    save_knowledge_base,
+)
 from freqfuse.errors import ConfigError, NumericError
 from freqfuse.kernel import Tensor
-from freqfuse.model import load_checkpoint, save_checkpoint
+from freqfuse.model import init_model_params, load_checkpoint, save_checkpoint
 from freqfuse.retrieval import KnowledgeBase
+from freqfuse.rng import named_stream
 from freqfuse.training import (
     TrainConfig,
     VARIANT_ORDER,
@@ -18,6 +28,7 @@ from freqfuse.training import (
     compute_metrics,
     make_folds,
     metrics_csv_text,
+    predict_probs,
     run_ablation_suite,
     schedule_lr,
     summarize,
@@ -369,3 +380,69 @@ def test_summarize_population_std():
     stats = summarize([a, b])
     assert stats["accuracy"]["mean"] == 0.75
     assert stats["accuracy"]["std"] == 0.25  # ddof 0
+
+
+@pytest.fixture(scope="module")
+def scoring():
+    """An untrained criterion 6 model (d_model 64, hidden 1024/256, knowledge
+    fusion), 400 samples, and a KB of the 4 prototypes plus 200 distractors,
+    so that retrieval screens (96 entries or more)."""
+    manifest, samples, entries = generate_synthetic(4, 100, 64, 0.3, seed=2)
+    rng = named_stream(2, "distractors")
+    entries += [KnowledgeEntry(f"d{i}", "distractor", v)
+                for i, v in enumerate(rng.standard_normal((200, 64)))]
+    params = init_model_params(manifest, fusion_mode="freq_plus_knowledge", seed=2)
+    config = TrainConfig(fusion_mode="freq_plus_knowledge")
+    return params, question_matrix(samples), image_matrix(samples), KnowledgeBase(entries), config
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 400])
+def test_predict_probs_is_batch_invariant(scoring, n):
+    """A row's probabilities are the same bits whatever else is scored with it:
+    in a permuted split, in a subset, or alone."""
+    params, questions, images, kb, config = scoring
+    q, v = questions[:n], images[:n]
+    probs = predict_probs(params, q, v, kb, config)
+    assert probs.shape == (n, params.n_classes)
+    assert np.allclose(probs.sum(axis=1), 1.0)
+    order = named_stream(n, "order").permutation(n)
+    assert predict_probs(params, q[order], v[order], kb, config).tobytes() == probs[order].tobytes()
+    for part in np.array_split(order, 3):
+        assert predict_probs(params, q[part], v[part], kb, config).tobytes() == probs[part].tobytes()
+    alone = [predict_probs(params, q[i : i + 1], v[i : i + 1], kb, config) for i in range(n)]
+    assert np.concatenate(alone).tobytes() == probs.tobytes()
+
+
+def _count_top_k_rows(monkeypatch) -> list[int]:
+    rows = []
+    top_k = retrieval._top_k
+
+    def counted(queries, *args, **kwargs):
+        rows.append(len(queries))
+        return top_k(queries, *args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "_top_k", counted)
+    return rows
+
+
+def test_retrieval_sees_at_most_32_rows_from_predict_probs(scoring, monkeypatch):
+    params, questions, images, kb, config = scoring
+    rows = _count_top_k_rows(monkeypatch)
+    predict_probs(params, questions, images, kb, config)
+    assert sum(rows) == 13 * 32 and max(rows) == 32  # 400 rows and 16 of padding
+
+
+def test_retrieval_sees_at_most_32_rows_from_eval(tmp_path, monkeypatch, capsys):
+    manifest, samples, entries = generate_synthetic(4, 25, 16, 0.3, seed=5)
+    paths = {name: str(tmp_path / name) for name in ("data.jsonl", "kb.jsonl", "ckpt.json")}
+    save_dataset(paths["data.jsonl"], manifest, samples)
+    save_knowledge_base(paths["kb.jsonl"], entries)
+    params = init_model_params(manifest, fusion_mode="freq_plus_knowledge", hidden1=16,
+                               hidden2=8, seed=5)
+    save_checkpoint(paths["ckpt.json"], params, extra_meta={
+        "train_config": {"fusion_mode": "freq_plus_knowledge", "hidden1": 16, "hidden2": 8}})
+    rows = _count_top_k_rows(monkeypatch)
+    assert main(["eval", "--dataset", paths["data.jsonl"], "--kb", paths["kb.jsonl"],
+                 "--checkpoint", paths["ckpt.json"]]) == EXIT_OK
+    assert '"accuracy"' in capsys.readouterr().out
+    assert len(samples) == 100 and rows == [32] * 4
