@@ -29,7 +29,7 @@ from .errors import (
 from .gradcheck import run_all
 from .kernel import dft_magnitude_raw
 from .model import read_checkpoint, save_checkpoint
-from .retrieval import KnowledgeBase, _check_options, _top_k, _unit_queries
+from .retrieval import SIMILARITIES, KnowledgeBase, _check_options, _top_k, _unit_queries
 from .training import (
     FoldResult,
     TrainConfig,
@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
     p_ret.add_argument("--queries", required=True, help="JSONL file, one vector per line")
     p_ret.add_argument("--k", type=int, default=3)
     p_ret.add_argument("--tau", type=float, default=0.1)
-    p_ret.add_argument("--similarity", choices=["fidelity", "cosine"], default="fidelity")
+    p_ret.add_argument("--similarity", choices=SIMILARITIES, default="fidelity")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every op")
     _add_common(p_grad)

@@ -595,6 +595,8 @@ def generate_synthetic(
     holds the clean phase-zero class sinusoid as one prototype per class,
     plus one random distractor per class.
     """
+    if n_classes < 2:
+        raise ConfigError(f"n_classes must be >= 2, got {n_classes}")
     if n_per_class < 1 or samples_per_image < 1:
         raise ConfigError("n_per_class and samples_per_image must be >= 1")
     if not 0 <= sigma < np.inf:

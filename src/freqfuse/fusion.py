@@ -23,8 +23,7 @@ class FusionParams:
     """Per-modality filter banks plus the two cross-modal gate maps.
 
     Filter weights are [K, d_model]; gate weights are [d_model, 1] (the gate
-    input is the scalar average of the other modality's K summaries). When
-    tied, the image bank aliases the text bank's tensors.
+    input is the scalar average of the other modality's K summaries).
     """
 
     w_filter_text: Tensor
@@ -35,7 +34,6 @@ class FusionParams:
     b_gate_text: Tensor
     w_gate_image: Tensor
     b_gate_image: Tensor
-    tied: bool = False
 
     @property
     def k(self) -> int:
@@ -46,47 +44,37 @@ class FusionParams:
         return self.w_filter_text.shape[1]
 
     def named(self, prefix: str = "fusion") -> dict[str, Tensor]:
-        out = {
+        # this order fixes the flat parameter layout and the checkpoint's
+        return {
             f"{prefix}.w_filter_text": self.w_filter_text,
             f"{prefix}.b_filter_text": self.b_filter_text,
             f"{prefix}.w_gate_text": self.w_gate_text,
             f"{prefix}.b_gate_text": self.b_gate_text,
             f"{prefix}.w_gate_image": self.w_gate_image,
             f"{prefix}.b_gate_image": self.b_gate_image,
+            f"{prefix}.w_filter_image": self.w_filter_image,
+            f"{prefix}.b_filter_image": self.b_filter_image,
         }
-        if not self.tied:
-            out[f"{prefix}.w_filter_image"] = self.w_filter_image
-            out[f"{prefix}.b_filter_image"] = self.b_filter_image
-        return out
 
 
 def init_fusion_params(
     d_model: int,
     k: int = K_FILTERS,
     rng: np.random.Generator | None = None,
-    tie_filters: bool = False,
 ) -> FusionParams:
     if rng is None:
         rng = np.random.default_rng(0)
     scale = 1.0 / np.sqrt(d_model)
-    w_ft = Tensor(scale * rng.standard_normal((k, d_model)))
-    b_ft = Tensor(np.zeros(k))
-    if tie_filters:
-        w_fv, b_fv = w_ft, b_ft
-    else:
-        w_fv = Tensor(scale * rng.standard_normal((k, d_model)))
-        b_fv = Tensor(np.zeros(k))
     # small gate weights keep gates near 0.5 at the start of training
     return FusionParams(
-        w_filter_text=w_ft,
-        b_filter_text=b_ft,
-        w_filter_image=w_fv,
-        b_filter_image=b_fv,
+        w_filter_text=Tensor(scale * rng.standard_normal((k, d_model))),
+        b_filter_text=Tensor(np.zeros(k)),
+        w_filter_image=Tensor(scale * rng.standard_normal((k, d_model))),
+        b_filter_image=Tensor(np.zeros(k)),
         w_gate_text=Tensor(0.01 * rng.standard_normal((d_model, 1))),
         b_gate_text=Tensor(np.zeros(d_model)),
         w_gate_image=Tensor(0.01 * rng.standard_normal((d_model, 1))),
         b_gate_image=Tensor(np.zeros(d_model)),
-        tied=tie_filters,
     )
 
 

@@ -117,7 +117,6 @@ def init_model_params(
     hidden1: int = 1024,
     hidden2: int = 256,
     dropout: float = 0.1,
-    tie_filters: bool = False,
     seed: int = 0,
 ) -> ModelParams:
     if fusion_mode not in FUSION_MODES:
@@ -132,7 +131,7 @@ def init_model_params(
     else:
         w_v = None
         b_v = None
-    fusion = init_fusion_params(d, k=k_filters, rng=rng, tie_filters=tie_filters)
+    fusion = init_fusion_params(d, k=k_filters, rng=rng)
     cls = init_classifier_params(
         fusion_in_dim(d, fusion_mode),
         manifest.n_classes,
@@ -267,7 +266,6 @@ def save_checkpoint(path: str, params: ModelParams, extra_meta: dict | None = No
         "hidden1": params.hidden1,
         "hidden2": params.hidden2,
         "dropout": params.cls.dropout,
-        "tie_filters": params.fusion.tied,
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -292,7 +290,6 @@ _META_TYPES = {
     "hidden1": (int,),
     "hidden2": (int,),
     "dropout": (int, float),
-    "tie_filters": (bool,),
 }
 
 
@@ -322,6 +319,11 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
             raise DataError(f"checkpoint meta {key!r} is missing or has the wrong type")
     if meta["fusion_mode"] not in FUSION_MODES:
         raise DataError(f"checkpoint meta fusion_mode {meta['fusion_mode']!r} is unknown")
+    for key in ("k_filters", "hidden1", "hidden2"):
+        if meta[key] < 1:
+            raise DataError(f"checkpoint meta {key} must be >= 1, got {meta[key]}")
+    if not 0 <= meta["dropout"] < 1:
+        raise DataError(f"checkpoint meta dropout must be in [0, 1), got {meta['dropout']}")
     manifest = DatasetManifest(
         n_classes=meta["n_classes"], d_model=meta["d_model"], feature_layout=meta["feature_layout"]
     )
@@ -333,7 +335,6 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         hidden1=meta["hidden1"],
         hidden2=meta["hidden2"],
         dropout=meta["dropout"],
-        tie_filters=meta["tie_filters"],
     )
     stored = blob.get("params")
     if not isinstance(stored, dict):

@@ -27,6 +27,7 @@ from .kernel.eig import SYMMETRY_TOL
 TOP_K = 3
 SOFTMAX_TAU = 0.1
 NORM_EPS = 1e-12
+SIMILARITIES = ("fidelity", "cosine")
 
 
 @dataclass
@@ -178,7 +179,7 @@ def _check_options(kb: KnowledgeBase, k: int, tau: float, similarity: str) -> No
         raise ConfigError(f"k={k} outside [1, {len(kb)}]")
     if not 0 < tau < np.inf:
         raise ConfigError(f"tau must be positive and finite, got {tau}")
-    if similarity not in ("fidelity", "cosine"):
+    if similarity not in SIMILARITIES:
         raise ConfigError(f"unknown similarity {similarity!r}")
 
 

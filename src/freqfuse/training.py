@@ -30,8 +30,8 @@ from .data import (
 from .errors import ConfigError, NumericError
 from .kernel import AdamState, GradTape, Tensor, adam_step, ops
 from .losses import TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
-from .model import ForwardOptions, ModelParams, forward_batch, init_model_params
-from .retrieval import KnowledgeBase
+from .model import FUSION_MODES, ForwardOptions, ModelParams, forward_batch, init_model_params
+from .retrieval import SIMILARITIES, KnowledgeBase
 from .rng import named_stream
 
 
@@ -56,13 +56,10 @@ class TrainConfig:
     aug_sigma: float = 0.1
     # ablation switchboard
     frequency: bool = True
-    retrieval: bool = True
     contrastive: bool = True
     co_selection: bool = True
     similarity: str = "fidelity"
-    fusion_mode: str = "freq_only"
-    tie_filters: bool = False
-    contrastive_space: str = "spatial"  # or "enhanced"
+    fusion_mode: str = "freq_only"  # freq_plus_knowledge: retrieval on
 
     def validate(self) -> None:
         for f in fields(self):
@@ -95,16 +92,12 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.similarity not in ("fidelity", "cosine"):
-            raise ConfigError(f"similarity must be fidelity or cosine, got {self.similarity!r}")
-        if self.fusion_mode not in ("freq_only", "freq_plus_knowledge"):
-            raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
-        if self.fusion_mode == "freq_plus_knowledge" and not self.retrieval:
-            raise ConfigError("freq_plus_knowledge requires retrieval enabled")
-        if self.contrastive_space not in ("spatial", "enhanced"):
+        if self.similarity not in SIMILARITIES:
             raise ConfigError(
-                f"contrastive_space must be spatial or enhanced, got {self.contrastive_space!r}"
+                f"similarity must be {' or '.join(SIMILARITIES)}, got {self.similarity!r}"
             )
+        if self.fusion_mode not in FUSION_MODES:
+            raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
 
     def forward_options(self) -> ForwardOptions:
         return ForwardOptions(
@@ -310,7 +303,6 @@ def train_fold(
         hidden1=config.hidden1,
         hidden2=config.hidden2,
         dropout=config.dropout,
-        tie_filters=config.tie_filters,
         seed=config.seed,
     )
     named = params.named()
@@ -350,17 +342,12 @@ def train_fold(
                 )
                 ce = cross_entropy(fwd.logits, labels[idx], tape)
                 if config.contrastive:
-                    if config.contrastive_space == "spatial":
-                        anchor_t, anchor_v = fwd.t, fwd.v
-                    else:
-                        anchor_t = fwd.features.t_enhanced
-                        anchor_v = fwd.features.v_enhanced
                     aug_rng = named_stream(config.seed, "augment", fold, epoch, batch_no)
-                    t_aug = augment(anchor_t, config.aug_sigma, aug_rng, tape)
-                    v_aug = augment(anchor_v, config.aug_sigma, aug_rng, tape)
-                    intra_t = info_nce(anchor_t, t_aug, TAU_INTRA, tape)
-                    intra_v = info_nce(anchor_v, v_aug, TAU_INTRA, tape)
-                    cross = info_nce(anchor_t, anchor_v, TAU_CROSS, tape)
+                    t_aug = augment(fwd.t, config.aug_sigma, aug_rng, tape)
+                    v_aug = augment(fwd.v, config.aug_sigma, aug_rng, tape)
+                    intra_t = info_nce(fwd.t, t_aug, TAU_INTRA, tape)
+                    intra_v = info_nce(fwd.v, v_aug, TAU_INTRA, tape)
+                    cross = info_nce(fwd.t, fwd.v, TAU_CROSS, tape)
                 else:
                     intra_t = Tensor(0.0)
                     intra_v = Tensor(0.0)
@@ -426,12 +413,11 @@ VARIANT_ORDER = (
 
 def variant_configs(base: TrainConfig) -> dict[str, TrainConfig]:
     """Ablation rows. The full model uses knowledge fusion so that disabling
-    retrieval is an observable change; the retrieval-off row falls back to the
+    retrieval is an observable change; the retrieval-off rows fall back to the
     two-segment fusion width."""
     full = replace(
         base,
         frequency=True,
-        retrieval=True,
         contrastive=True,
         co_selection=True,
         similarity="fidelity",
@@ -440,13 +426,12 @@ def variant_configs(base: TrainConfig) -> dict[str, TrainConfig]:
     return {
         "full": full,
         "wo_frequency": replace(full, frequency=False),
-        "wo_retrieval": replace(full, retrieval=False, fusion_mode="freq_only"),
+        "wo_retrieval": replace(full, fusion_mode="freq_only"),
         "wo_contrastive": replace(full, contrastive=False),
         "wo_co_selection": replace(full, co_selection=False),
         "spatial_only": replace(
             full,
             frequency=False,
-            retrieval=False,
             fusion_mode="freq_only",
             contrastive=False,
             co_selection=False,

@@ -48,6 +48,15 @@ def test_help_lists_subcommands(capsys):
         assert name in text
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_help_lists_no_removed_switch(command, capsys):
+    assert run([command, "--help"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "--fusion-mode" in text
+    for flag in ("--retrieval ", "--contrastive-space", "--tie-filters"):
+        assert flag not in text
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["synth", "--no-such-flag"]) == EXIT_USAGE
     assert run(["frobnicate"]) == EXIT_USAGE
@@ -190,6 +199,23 @@ def test_config_file_unknown_key(tmp_path, capsys):
     code = run(["train", "--config", str(cfg), "--dataset", "x", "--out-dir", "y"])
     assert code == EXIT_USAGE
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["retrieval = off", "contrastive_space = enhanced", "tie_filters = on"]
+)
+def test_config_file_removed_switch_is_unknown_key(line, synth_dir, tmp_path, capsys):
+    """Retrieval follows fusion_mode, the contrastive losses act on the
+    projected features, and each modality has its own filter bank: a config
+    naming the switches that once chose otherwise is rejected, not ignored."""
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    code = run(["train", "--config", str(cfg), "--dataset", str(synth_dir / "dataset.jsonl"),
+                "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "unknown key" in err
 
 
 def test_read_config_file_parses_comments_and_spaces(tmp_path):
@@ -336,6 +362,26 @@ def knowledge_ckpt(synth_dir, tmp_path_factory):
     )
     assert code == EXIT_OK
     return out / "fold0.ckpt.json"
+
+
+def test_checkpoint_with_removed_switches_evaluates_the_same(synth_dir, knowledge_ckpt,
+                                                            tmp_path, capsys):
+    """A checkpoint written before retrieval, contrastive_space and
+    tie_filters left TrainConfig still carries them; eval ignores them."""
+    blob = json.loads(knowledge_ckpt.read_text())
+    blob["meta"]["tie_filters"] = False
+    blob["meta"]["train_config"].update(
+        retrieval=True, contrastive_space="spatial", tie_filters=False
+    )
+    old = tmp_path / "old.ckpt.json"
+    old.write_text(json.dumps(blob))
+    outputs = []
+    for ckpt in (knowledge_ckpt, old):
+        out = tmp_path / ckpt.stem
+        assert run(_eval_args(synth_dir, ckpt) + ["--out-dir", str(out)]) == EXIT_OK
+        outputs.append((out / "metrics.json").read_bytes())
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def _query_of_wrong_width(tmp_path, synth_dir, ckpt):
@@ -600,7 +646,6 @@ def _out_dir_is_a_file(command):
         (_query_line_with_nan, EXIT_DATA),
         (_train_flags("--similarity", "dot"), EXIT_USAGE),
         (_train_flags("--lr", "abc"), EXIT_USAGE),
-        (_train_flags("--fusion-mode", "freq_plus_knowledge", "--retrieval", "off"), EXIT_USAGE),
         (_not_utf8_file("dataset"), EXIT_DATA),
         (_not_utf8_file("kb"), EXIT_DATA),
         (_not_utf8_file("queries"), EXIT_DATA),
@@ -647,6 +692,12 @@ def _out_dir_is_a_file(command):
         (_out_dir_is_a_file("retrieve"), EXIT_USAGE),
         (_out_dir_is_a_file("spectrum"), EXIT_USAGE),
         (_train_flags("--hidden1", "100000000000"), EXIT_USAGE),
+        (_argv("synth", "--seed", "-1"), EXIT_USAGE),
+        (_train_flags("--seed", "-1", "--workers", "1"), EXIT_USAGE),
+        (_argv("gradcheck", "--seed", "-1"), EXIT_USAGE),
+        (_config_line("seed = -1"), EXIT_USAGE),
+        (_argv("synth", "--classes", "1"), EXIT_USAGE),
+        (_argv("synth", "--classes", "0"), EXIT_USAGE),
     ],
     ids=[
         "retrieve-query-width",
@@ -667,7 +718,6 @@ def _out_dir_is_a_file(command):
         "retrieve-query-nan",
         "train-similarity-dot",
         "train-lr-not-a-number",
-        "train-knowledge-without-retrieval",
         "dataset-not-utf8",
         "kb-not-utf8",
         "queries-not-utf8",
@@ -714,6 +764,12 @@ def _out_dir_is_a_file(command):
         "retrieve-out-dir-is-a-file",
         "spectrum-out-dir-is-a-file",
         "train-hidden1-beyond-memory",
+        "synth-seed-negative",
+        "train-seed-negative",
+        "gradcheck-seed-negative",
+        "config-seed-negative",
+        "synth-classes-one",
+        "synth-classes-zero",
     ],
 )
 def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowledge_ckpt,

@@ -170,16 +170,6 @@ def test_batched_stage_matches_per_row():
         assert np.allclose(batched.v_enhanced.data[i], row.v_enhanced.data, atol=1e-12)
 
 
-def test_tied_filters_share_tensors():
-    rng = named_stream(7, "test-tied")
-    params = init_fusion_params(8, 4, rng, tie_filters=True)
-    assert params.w_filter_image is params.w_filter_text
-    assert params.b_filter_image is params.b_filter_text
-    assert len(params.named()) == 6
-    untied = init_fusion_params(8, 4, rng, tie_filters=False)
-    assert len(untied.named()) == 8
-
-
 def test_gate_gradients_reach_both_modalities():
     # the text gate is driven by the image summary, so image filter weights
     # must receive gradient through the text branch

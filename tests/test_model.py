@@ -155,8 +155,6 @@ def test_knowledge_mode_requires_kb_and_retrieval():
     img = rng.standard_normal((2, 8))
     with pytest.raises(ConfigError):
         forward_batch(params, q, img, kb=None)
-    with pytest.raises(ConfigError):
-        TrainConfig(fusion_mode="freq_plus_knowledge", retrieval=False).validate()
     config = TrainConfig(fusion_mode="freq_plus_knowledge")
     config.validate()
     out = forward_batch(params, q, img, kb=tiny_kb(), options=config.forward_options())

@@ -334,15 +334,15 @@ def test_variant_configs_toggle_the_right_switches():
     assert set(variants) == set(VARIANT_ORDER)
     full = variants["full"]
     assert full.fusion_mode == "freq_plus_knowledge"
-    assert full.frequency and full.retrieval and full.contrastive and full.co_selection
+    assert full.frequency and full.contrastive and full.co_selection
     assert not variants["wo_frequency"].frequency
-    assert variants["wo_frequency"].retrieval
-    wo_r = variants["wo_retrieval"]
-    assert not wo_r.retrieval and wo_r.fusion_mode == "freq_only"
+    assert variants["wo_frequency"].fusion_mode == "freq_plus_knowledge"
+    assert variants["wo_retrieval"] == replace(full, fusion_mode="freq_only")
     assert not variants["wo_contrastive"].contrastive
     assert not variants["wo_co_selection"].co_selection
     sp = variants["spatial_only"]
-    assert not (sp.frequency or sp.retrieval or sp.contrastive or sp.co_selection)
+    assert not (sp.frequency or sp.contrastive or sp.co_selection)
+    assert sp.fusion_mode == "freq_only"
     assert variants["cosine_similarity"].similarity == "cosine"
 
 

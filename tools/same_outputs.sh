@@ -13,7 +13,11 @@
 # code; stderr is kept aside (warnings name source lines) and not compared.
 # Commands run inside the output directory with relative paths, so printed
 # paths match. The script names each file that differs or exists on one side
-# only, and exits 1 if any does, 0 if none.
+# only, and exits 1 if any does, 0 if none. For a .json file on both sides it
+# also names the dotted key paths found on one side only and those whose
+# values differ (list items by index), e.g.
+#   differs: train/summary.json: only in PARENT: config.retrieval
+# or says that keys and values match and only the bytes differ.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -91,9 +95,56 @@ with open("large_queries.jsonl", "w") as fh:
 
 differ=0
 files=$(cd "$work" && { find parent change -type f ! -name '*.stderr' | cut -d/ -f2- | sort -u; })
+# json_diff PARENT_FILE CHANGE_FILE: the key paths that tell two JSON files apart
+json_diff() {
+    python3 - "$1" "$2" <<'PY'
+import json
+import sys
+
+def flat(node, path=""):
+    if isinstance(node, (dict, list)) and node:  # an empty one is a value
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from flat(value, f"{path}.{key}" if path else str(key))
+    else:
+        yield path, node
+
+def names(paths, shown=12):
+    more = len(paths) - shown
+    return ", ".join(paths[:shown]) + (f" and {more} more" if more > 0 else "")
+
+def load(name):
+    with open(name, encoding="utf-8") as fh:
+        return dict(flat(json.load(fh)))
+
+try:
+    parent, change = (load(name) for name in sys.argv[1:])
+except ValueError:  # not JSON on one side: the file name says enough
+    sys.exit()
+parts = []
+for label, paths in (
+    ("only in PARENT", [p for p in parent if p not in change]),
+    ("only in CHANGE", [p for p in change if p not in parent]),
+    ("values differ", [p for p in parent if p in change and parent[p] != change[p]]),
+):
+    if paths:
+        parts.append(f"{label}: {names(paths)}")
+print(": " + "; ".join(parts or ["same keys and values, bytes differ"]), end="")
+PY
+}
+
 for rel in $files; do
     if ! cmp -s "$work/parent/$rel" "$work/change/$rel"; then
-        echo "differs: $rel"
+        if [ ! -f "$work/change/$rel" ]; then
+            detail=": file only in PARENT"
+        elif [ ! -f "$work/parent/$rel" ]; then
+            detail=": file only in CHANGE"
+        elif [[ $rel == *.json ]]; then
+            detail=$(json_diff "$work/parent/$rel" "$work/change/$rel")
+        else
+            detail=""
+        fi
+        echo "differs: $rel$detail"
         differ=1
     fi
 done
