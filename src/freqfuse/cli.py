@@ -52,9 +52,9 @@ _CONFIG_KEYS = {f.name: f.type for f in fields(TrainConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1, not argparse's default 2
+    # usage problems exit 1, not argparse's default 2, with one stderr line;
+    # --help still prints the usage
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -469,7 +469,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         file_values = read_config_file(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, file_values)
+        # non-finite values are reported once, by the program's own checks,
+        # not also as numpy warnings (fold workers inherit this setting)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args, file_values)
     except ConfigError as exc:
         print(f"freqfuse: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -173,8 +173,15 @@ def _check_vector(value, length: int, where: str) -> None:
 
 
 def _float_list(value, length: int, where: str) -> np.ndarray:
-    _check_vector(value, length, where)
-    arr = np.array(value, dtype=np.float64)
+    """`length` finite numbers as a float64 array, from a JSON list or from a
+    float64 array that a JSON object_hook made of one."""
+    if isinstance(value, np.ndarray):
+        if value.shape != (length,):
+            raise DataError(f"{where}: expected a list of {length} numbers")
+        arr = value
+    else:
+        _check_vector(value, length, where)
+        arr = np.array(value, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{where}: expected {length} finite numbers")
     return arr

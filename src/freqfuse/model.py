@@ -8,6 +8,7 @@ then a final Linear; softmax lives in the loss, not here.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -293,11 +294,44 @@ _META_TYPES = {
 }
 
 
+def _param_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each parameter, in `ModelParams.named` order, that
+    `init_model_params` builds for a checkpoint's meta; nothing is allocated."""
+    d, k, h1, h2, c = (meta[key] for key in ("d_model", "k_filters", "hidden1", "hidden2",
+                                             "n_classes"))
+    shapes = {"proj.w_t": (d, TEXT_DIM), "proj.b_t": (d,)}
+    if meta["feature_layout"] == "vit":
+        shapes.update({"proj.w_v": (d, VIT_DIM), "proj.b_v": (d,)})
+    shapes.update({
+        "fusion.w_filter_text": (k, d), "fusion.b_filter_text": (k,),
+        "fusion.w_gate_text": (d, 1), "fusion.b_gate_text": (d,),
+        "fusion.w_gate_image": (d, 1), "fusion.b_gate_image": (d,),
+        "fusion.w_filter_image": (k, d), "fusion.b_filter_image": (k,),
+        "cls.w1": (h1, fusion_in_dim(d, meta["fusion_mode"])), "cls.b1": (h1,),
+        "cls.ln1_gain": (h1,), "cls.ln1_shift": (h1,),
+        "cls.w2": (h2, h1), "cls.b2": (h2,), "cls.ln2_gain": (h2,), "cls.ln2_shift": (h2,),
+        "cls.w3": (c, h2), "cls.b3": (c,),
+    })
+    return shapes
+
+
+def _tensor_hook(obj: dict) -> dict:
+    """json object_hook: the list of floats of each parsed {"shape", "data"}
+    object becomes a float64 array at once, so the Python floats of only one
+    tensor are alive at a time. Any other list stays a list for `_float_list`
+    to reject with its usual message."""
+    data = obj.get("data")
+    if "shape" in obj and type(data) is list and set(map(type, data)) == {float}:
+        obj["data"] = np.array(data, dtype=np.float64)
+    return obj
+
+
 def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
-    """Parameters and meta of a checkpoint; a malformed file is a DataError."""
+    """Parameters and meta of a checkpoint; a malformed file is a DataError.
+    Every stored tensor is checked against the meta before the model is built."""
     try:
         with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
+            blob = json.load(fh, object_hook=_tensor_hook)
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -328,6 +362,21 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         n_classes=meta["n_classes"], d_model=meta["d_model"], feature_layout=meta["feature_layout"]
     )
     manifest.validate()
+    stored = blob.get("params")
+    if not isinstance(stored, dict):
+        raise DataError(f"checkpoint {path} has no params object")
+    shapes = _param_shapes(meta)
+    if set(stored) != set(shapes):
+        missing = sorted(set(shapes) - set(stored))
+        extra = sorted(set(stored) - set(shapes))
+        raise DataError(f"checkpoint params mismatch: missing {missing}, unexpected {extra}")
+    arrays = {}
+    for name, shape in shapes.items():
+        entry = stored[name]
+        if not isinstance(entry, dict) or entry.get("shape") != list(shape):
+            raise DataError(f"checkpoint param {name} does not hold shape {shape}")
+        where = f"checkpoint {path} param {name}"
+        arrays[name] = _float_list(entry.get("data"), math.prod(shape), where).reshape(shape)
     params = init_model_params(
         manifest,
         fusion_mode=meta["fusion_mode"],
@@ -336,20 +385,8 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         hidden2=meta["hidden2"],
         dropout=meta["dropout"],
     )
-    stored = blob.get("params")
-    if not isinstance(stored, dict):
-        raise DataError(f"checkpoint {path} has no params object")
-    expected = params.named()
-    if set(stored) != set(expected):
-        missing = sorted(set(expected) - set(stored))
-        extra = sorted(set(stored) - set(expected))
-        raise DataError(f"checkpoint params mismatch: missing {missing}, unexpected {extra}")
-    for name, tensor in expected.items():
-        entry = stored[name]
-        if not isinstance(entry, dict) or entry.get("shape") != list(tensor.shape):
-            raise DataError(f"checkpoint param {name} does not hold shape {tensor.shape}")
-        where = f"checkpoint {path} param {name}"
-        tensor.data = _float_list(entry.get("data"), tensor.size, where).reshape(tensor.shape)
+    for name, tensor in params.named().items():
+        tensor.data = arrays[name]
     return params, meta
 
 

@@ -103,12 +103,18 @@ def _columns(entries: list[KnowledgeEntry]) -> KnowledgeColumns:
 _UNIT_CHUNK_ROWS = 4096
 # Below this many entries `_top_k` sends every (query, entry) pair straight to
 # `_pair_scores` instead of screening first. On 2 cores (numpy 2.4.6, OpenBLAS
-# 0.3.31, d=64, k=3) the two cost the same at about 96 entries: 403 against
-# 356 us at B=32 and 3.80 against 3.79 ms at B=400. At 64 entries all pairs
-# take 251 us at B=32 and 2.33 ms at B=400, a screen 256 us and 3.53 ms.
-_SCREEN_MIN_ENTRIES = 96
+# 0.3.31, d=64, k=3) all pairs and the screen cost the same at about 96
+# entries for B=32 (381-389 against 381-414 us) and 112 for B=400 (4.40-4.42
+# against 4.53-4.67 ms); at 112 the screen is 10 % faster at B=32.
+_SCREEN_MIN_ENTRIES = 112
 # candidate pairs rescored together; bounds the gathered (pairs, d) rows
 _PAIR_CHUNK = 1 << 12
+# KB rows `_screen` scores together, rounded down to whole blocks (at least k).
+# For 32 queries it holds about 2 MB of float32 scores and 1 MB of block-max
+# tree, whatever the KB size. At 1e5 entries this retrieves as fast as one
+# pass over the whole KB did; 2^15 rows was no faster and kept ~8 MB more
+# resident after an eval pass.
+_SCREEN_CHUNK_ROWS = 1 << 14
 
 
 class KnowledgeBase:
@@ -224,7 +230,7 @@ def _block_max(s: np.ndarray, width: int) -> np.ndarray:
         half = w // 2
         np.maximum(top[:, :half], top[:, w - half : w], out=top[:, :half])
         w -= half
-    return top[:, 0]
+    return top[:, 0].copy()  # not a view, which would keep the whole tree alive
 
 
 def _screen(qn: np.ndarray, kb: KnowledgeBase, k: int, similarity: str):
@@ -245,24 +251,44 @@ def _screen(qn: np.ndarray, kb: KnowledgeBase, k: int, similarity: str):
     Every entry that ranks within the top k, ties at k included, has a float64
     score >= that k-th score, so its float32 score is >= t - 2 delta. Keeping
     every entry at or above that floor keeps the whole top k; ranking the kept
-    entries by float64 score gives it exactly."""
+    entries by float64 score gives it exactly.
+
+    The KB is scored in chunks of whole blocks (`_SCREEN_CHUNK_ROWS`), so the
+    float32 scores held at once do not grow with the KB. t is taken over the
+    blocks seen so far: a lower bound on the final t, for which the argument
+    above holds unchanged. Each chunk keeps its entries at or above that
+    running floor with their float32 scores; those below the final floor are
+    dropped at the end, leaving the set one pass over the whole KB keeps."""
     delta = 4 * (kb.d_model + 2) * 2.0**-24
-    s = kb.unit32 @ qn.astype(np.float32).T  # (N, B)
-    if similarity == "fidelity":
-        np.multiply(s, s, out=s)
-    width = _block_width(len(s), k)
-    nb = len(s) // width
-    tops = _block_max(s[: nb * width], width)
-    t = np.partition(tops, nb - k, axis=0)[nb - k]
-    # one float32 step down, so rounding the subtraction never raises the floor
-    floor = np.nextafter(t - np.float32(2 * delta), np.float32(-np.inf))
-    block, rows = np.nonzero(tops >= floor)
-    vals = s[: nb * width].reshape(nb, width, len(qn))[block, :, rows]
-    i, j = np.nonzero(vals >= floor[rows, None])
-    tail_cols, tail_rows = np.nonzero(s[nb * width :] >= floor)
-    rows = np.concatenate((rows[i], tail_rows))
-    cols = np.concatenate((block[i] * width + j, tail_cols + nb * width))
-    return rows, cols
+    q32 = qn.astype(np.float32).T
+    n, b = len(kb), len(qn)
+    width = _block_width(n, k)
+    whole = n // width * width
+    step = max(_SCREEN_CHUNK_ROWS // width, k) * width
+    best = np.empty((0, b), dtype=np.float32)  # the k largest block maxima so far
+    found = []  # (rows, cols, float32 scores) kept from each chunk
+    buf = np.empty((min(step + width, n), b), dtype=np.float32)  # every chunk's scores
+    for start in range(0, whole, step):
+        # the tail of fewer than `width` entries joins the last chunk
+        stop = start + step if start + step < whole else n
+        s = np.matmul(kb.unit32[start:stop], q32, out=buf[: stop - start])  # (rows, B)
+        if similarity == "fidelity":
+            np.multiply(s, s, out=s)
+        m = min(stop, whole) - start
+        tops = _block_max(s[:m], width)
+        best = np.partition(np.concatenate((best, tops)), -k, axis=0)[-k:]
+        # one float32 step down, so rounding the subtraction never raises the floor
+        floor = np.nextafter(best[0] - np.float32(2 * delta), np.float32(-np.inf))
+        # flat indices: numpy's two-dimensional nonzero is several times slower
+        block, rows = np.divmod(np.flatnonzero(tops >= floor), b)
+        vals = s[:m].reshape(-1, width, b)[block, :, rows]
+        i, j = np.divmod(np.flatnonzero(vals >= floor[rows, None]), width)
+        found.append((rows[i], start + block[i] * width + j, vals[i, j]))
+    tail, rows = np.divmod(np.flatnonzero(s[m:] >= floor), b)
+    found.append((rows, whole + tail, s[m:][tail, rows]))
+    rows, cols, vals = (np.concatenate(part) for part in zip(*found))
+    keep = vals >= floor[rows]
+    return rows[keep], cols[keep]
 
 
 def _top_k(

@@ -455,8 +455,10 @@ def _init_worker(inputs_path: str) -> None:
         _worker_inputs = pickle.load(fh)
 
 
-def _worker_fold_job(job) -> FoldResult:
-    return _train_one_fold(_worker_inputs, *job)
+def _worker_fold_job(job, errstate: dict) -> FoldResult:
+    # the caller's numpy floating-point error handling, as in a serial run
+    with np.errstate(**errstate):
+        return _train_one_fold(_worker_inputs, *job)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -512,7 +514,7 @@ def _run_fold_jobs(inputs, jobs, workers: int | None = None) -> list[FoldResult]
             initargs=(inputs_path,),
         ) as pool:
             with _one_blas_thread_in_children():  # a spawn pool starts its workers in submit
-                futures = [pool.submit(_worker_fold_job, job) for job in jobs]
+                futures = [pool.submit(_worker_fold_job, job, np.geterr()) for job in jobs]
             return [future.result() for future in futures]
 
 

@@ -1056,3 +1056,28 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_diverging_run_prints_one_line_and_no_numpy_warning(synth_dir, tmp_path, workers):
+    """numpy's overflow warnings reach stderr neither from this process nor
+    from spawned fold workers: the run ends with its one numeric-error line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqfuse.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "freqfuse.cli", "train",
+         "--dataset", str(synth_dir / "dataset.jsonl"), "--out-dir", str(tmp_path / "out"),
+         "--seed", "3", "--folds", "2", "--max-epochs", "2", "--hidden1", "16",
+         "--hidden2", "8", "--batch-size", "8", "--lr", "1e300", "--workers", workers],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == EXIT_NUMERIC, proc.stderr
+    assert proc.stderr.startswith("freqfuse: numeric error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_usage_error_is_one_line_and_help_keeps_the_usage(capsys):
+    assert run(["train", "--seed", "abc"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "freqfuse train: error: argument --seed: invalid int value: 'abc'\n"
+    assert run(["train", "--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: freqfuse train ")

@@ -19,7 +19,7 @@ import zlib
 import numpy as np
 import pytest
 
-from freqfuse.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from freqfuse.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 SEED = 20261019
 TOKENS = (b"true", b"1e999", b"NaN", b"[]", b"\xff")
@@ -279,6 +279,12 @@ SEMANTIC = {
     "config-tie-filters-removed": (_config("tie_filters = on"), EXIT_USAGE),
     "train-hidden1-beyond-memory": (_with_flags("dataset", "--hidden1", "100000000000"),
                                     EXIT_USAGE),
+    "ckpt-hidden1-beyond-memory": (_meta(hidden1=100000000000), EXIT_DATA),
+    "train-seed-not-an-int": (_with_flags("dataset", "--seed", "abc"), EXIT_USAGE),
+    "train-flag-of-eval": (_with_flags("dataset", "--checkpoint", "x"), EXIT_USAGE),
+    "train-flag-without-value": (_with_flags("dataset", "--lr"), EXIT_USAGE),
+    "unknown-command": (_argv("frobnicate"), EXIT_USAGE),
+    "train-lr-diverges": (_with_flags("dataset", "--lr", "1e300"), EXIT_NUMERIC),
 }
 
 

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from freqfuse.data import DatasetManifest, KnowledgeEntry
+from freqfuse.data import DatasetManifest, KnowledgeEntry, _float_list
 from freqfuse.errors import ConfigError, ContractError, DataError
 from freqfuse.kernel import Tensor
 from freqfuse.model import (
     ForwardOptions,
+    _param_shapes,
     classify,
     forward_batch,
     fuse,
@@ -234,3 +237,92 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
         path.write_text(json.dumps(blob))
         with pytest.raises(DataError):
             load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("manifest", [PRE, VIT], ids=["precomputed", "vit"])
+@pytest.mark.parametrize("mode", ["freq_only", "freq_plus_knowledge"])
+def test_param_shapes_match_the_built_model(manifest, mode):
+    params = init_model_params(manifest, fusion_mode=mode, k_filters=3, hidden1=12, hidden2=5)
+    meta = {"d_model": manifest.d_model, "n_classes": manifest.n_classes, "k_filters": 3,
+            "feature_layout": manifest.feature_layout, "fusion_mode": mode, "hidden1": 12,
+            "hidden2": 5}
+    assert list(_param_shapes(meta).items()) == [
+        (name, t.shape) for name, t in params.named().items()
+    ]
+
+
+def test_hook_parsed_checkpoint_is_bit_identical_to_a_whole_parse(tmp_path):
+    params = init_model_params(VIT, fusion_mode="freq_plus_knowledge", hidden1=16, hidden2=8,
+                               seed=4)
+    rng = named_stream(4, "test-ckpt-bits")
+    specials = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                         0.1, 1.0 / 3.0])
+    for tensor in params.named().values():
+        tensor.data = rng.standard_normal(tensor.shape) * 10.0 ** rng.integers(-300, 300,
+                                                                              tensor.shape)
+        tensor.data.reshape(-1)[: len(specials)] = specials[: tensor.size]
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(str(path), params)
+    whole = json.loads(path.read_text())["params"]  # every tensor's floats at once
+    for name, tensor in load_checkpoint(str(path)).named().items():
+        want = np.array(whole[name]["data"], dtype=np.float64).reshape(tensor.shape)
+        assert tensor.data.tobytes() == want.tobytes(), name
+        assert tensor.data.tobytes() == params.named()[name].data.tobytes(), name
+
+
+_SEVEN = ", 0.0" * 7
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "[true" + _SEVEN + "]",
+        '["1.5"' + _SEVEN + "]",
+        "[null" + _SEVEN + "]",
+        "[[0.0]" + _SEVEN + "]",
+        "[1" + _SEVEN + "]",  # an integer keeps it a list, which is valid
+        "[1" + "0" * 400 + _SEVEN + "]",
+        "[NaN" + _SEVEN + "]",
+        "[-Infinity" + _SEVEN + "]",
+        "[1e999" + _SEVEN + "]",
+        "[0.0" + _SEVEN[5:] + "]",
+        "[0.0, 0.0" + _SEVEN + "]",
+        "[]",
+        '"eight floats"',
+        "{}",
+    ],
+)
+def test_hook_parsed_checkpoint_keeps_data_errors(tmp_path, data):
+    """A stored tensor's data (cls.b2 holds 8 numbers) loads, or fails with
+    `_float_list`'s message, as the list parsed without the hook does."""
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(str(path), tiny_params())
+    blob = json.loads(path.read_text())
+    blob["params"]["cls.b2"]["data"] = "DATA"
+    path.write_text(json.dumps(blob).replace('"DATA"', data))
+    where = f"checkpoint {path} param cls.b2"
+    try:
+        want = _float_list(json.loads(data), 8, where)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_checkpoint(str(path))
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(load_checkpoint(str(path)).cls.b2.data, want)
+
+
+def test_checkpoint_dimensions_beyond_memory_fail_before_allocating(tmp_path, monkeypatch):
+    import freqfuse.model as model
+
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(str(path), tiny_params())
+    blob = json.loads(path.read_text())
+    blob["meta"]["hidden1"] = 100_000_000_000
+    path.write_text(json.dumps(blob))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("init_model_params ran before the shapes were checked")
+
+    monkeypatch.setattr(model, "init_model_params", refuse)
+    with pytest.raises(DataError, match=r"param cls\.w1 does not hold shape \(100000000000, 16\)"):
+        load_checkpoint(str(path))

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from freqfuse.data import KnowledgeEntry
+from freqfuse.data import KnowledgeColumns, KnowledgeEntry
 from freqfuse.errors import (
     ConfigError,
     ContractError,
@@ -522,3 +524,109 @@ def test_screen_margin_keeps_the_exact_top_k():
             assert all((r, c) in kept for r in range(len(queries)) for c in expect[r])
     # twins round to one float32 row yet score differently in float64
     assert twins > 100
+
+
+def _exact_top_k(queries, kb, k):
+    """_top_k equals the float64 brute-force ranking bit for bit, for both
+    similarities; returns each similarity's expected indices."""
+    expected = {}
+    for similarity in ("fidelity", "cosine"):
+        scores = _pair_oracle_scores(queries, kb, similarity)
+        expect = _oracle_top_k(scores, k)
+        order, top, weights = _top_k(queries, kb, k, 0.1, similarity)
+        assert np.array_equal(order, expect), (k, similarity)
+        want = np.take_along_axis(scores, expect, axis=1)
+        assert np.array_equal(top, want), (k, similarity)
+        assert np.array_equal(weights, ops.softmax(Tensor(want / 0.1)).data), (k, similarity)
+        expected[similarity] = expect
+    return expected
+
+
+def _near(rng, q, fid, count):
+    """`count` vectors whose fidelity with the unit vector q is `fid`, each
+    with its own random orthogonal part."""
+    ortho = rng.standard_normal((count, len(q)))
+    ortho -= (ortho @ q)[:, None] * q
+    ortho /= np.linalg.norm(ortho, axis=1)[:, None]
+    return np.sqrt(fid) * q + np.sqrt(1.0 - fid) * ortho
+
+
+# 6006 entries are 39 whole blocks of 154; 6050 add a tail of 44
+@pytest.mark.parametrize("n", [6006, 6050])
+def test_streaming_screen_finds_top_k_in_the_last_chunk_behind_decoys(n, monkeypatch):
+    # chunks of 5 blocks: the first seven chunks hold decoys that score high
+    # (fidelity 0.9), so each sets a running floor that keeps them; the true
+    # top 3 (fidelity 0.995 and 0.999) sit in the last chunk, one of them in
+    # the tail when there is one
+    d, k = 16, 3
+    width = _block_width(n, k)
+    monkeypatch.setattr("freqfuse.retrieval._SCREEN_CHUNK_ROWS", 5 * width)
+    rng = named_stream(0, "test-streaming-decoys", n)
+    queries = rng.standard_normal((4, d))
+    unit = queries / np.linalg.norm(queries, axis=1)[:, None]
+    vecs = rng.standard_normal((n, d))
+    last = n // width // 5 * 5 * width  # start of the last chunk
+    decoys = rng.permutation(last)[: 4 * 35].reshape(4, 35)
+    # three in the last chunk's first three blocks, so that they hold the 3
+    # largest block maxima, and a better one in the last rows: the tail's, or
+    # the last block's
+    best = np.array([[last + 7 * r, last + width + 11 * r, last + 2 * width + 13 * r, n - 1 - r]
+                     for r in range(4)])
+    for row, q in enumerate(unit):
+        vecs[decoys[row]] = _near(rng, q, 0.9, 35) * rng.uniform(0.5, 2.0, (35, 1))
+        vecs[best[row, :3]] = _near(rng, q, 0.995, 3) * np.array([[1.0], [3.0], [0.125]])
+        vecs[best[row, 3]] = _near(rng, q, 0.999, 1)[0]
+    kb = KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
+    expect = _exact_top_k(queries, kb, k)
+    for r in range(4):
+        assert expect["fidelity"][r][0] == best[r, 3]
+        assert set(expect["fidelity"][r]) < set(best[r])
+    # the decoys kept from the early chunks are dropped by the final floor
+    rows, cols = _screen(unit, kb, k, "fidelity")
+    for r in range(4):
+        assert not set(cols[rows == r].tolist()) & set(decoys[r].tolist()), r
+
+
+@pytest.mark.parametrize("n", [6006, 6050])
+def test_streaming_screen_keeps_ties_across_a_chunk_boundary(n, monkeypatch):
+    # an anchor's exact copies (scaled by powers of two, so their unit rows are
+    # the same bits) sit on both sides of each chunk boundary and in the last
+    # rows: every copy ties, and the earliest copies win at the k boundary
+    d = 6
+    rng = named_stream(1, "test-streaming-ties", n)
+    anchor = rng.standard_normal(d)
+    queries = np.concatenate([anchor[None], anchor + 0.01 * rng.standard_normal((2, d)),
+                              rng.standard_normal((2, d))])
+    for k, blocks in ((1, 4), (3, 4), (5, 4), (9, 2)):  # k = 5 and 9: k blocks a chunk
+        width = _block_width(n, k)
+        monkeypatch.setattr("freqfuse.retrieval._SCREEN_CHUNK_ROWS", blocks * width)
+        step = max(blocks, k) * width
+        vecs = rng.standard_normal((n, d))
+        places = [p for edge in range(step, n // width * width, step) for p in (edge - 1, edge)]
+        places.append(n - 1)
+        for scale, p in zip(np.resize([1.0, 2.0, 0.25, 8.0], len(places)), places):
+            vecs[p] = scale * anchor
+        kb = KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
+        expect = _exact_top_k(queries, kb, k)
+        assert list(expect["fidelity"][0][: min(k, len(places))]) == places[:k]
+
+
+def test_screen_memory_does_not_grow_with_the_kb():
+    """numpy's traced peak during one 32-query `retrieve_batch` is about the
+    same at 20,000 and 80,000 entries: the screen holds one chunk's scores."""
+    peaks = []
+    for n in (20_000, 80_000):
+        rng = named_stream(2, "test-screen-memory", n)
+        embeddings = rng.standard_normal((n, 64))
+        kb = KnowledgeBase(KnowledgeColumns(ids=[f"e{i}" for i in range(n)], texts=[""] * n,
+                                            embeddings=embeddings))
+        queries = rng.standard_normal((32, 64))
+        retrieve_batch(queries, kb)
+        tracemalloc.start()
+        try:
+            retrieve_batch(queries, kb)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one pass over the whole KB would hold 4x the scores at 80,000 entries
+    assert peaks[1] < 1.25 * peaks[0], peaks

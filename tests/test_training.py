@@ -386,7 +386,7 @@ def test_summarize_population_std():
 def scoring():
     """An untrained criterion 6 model (d_model 64, hidden 1024/256, knowledge
     fusion), 400 samples, and a KB of the 4 prototypes plus 200 distractors,
-    so that retrieval screens (96 entries or more)."""
+    so that retrieval screens (`_SCREEN_MIN_ENTRIES` entries or more)."""
     manifest, samples, entries = generate_synthetic(4, 100, 64, 0.3, seed=2)
     rng = named_stream(2, "distractors")
     entries += [KnowledgeEntry(f"d{i}", "distractor", v)
