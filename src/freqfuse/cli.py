@@ -29,7 +29,14 @@ from .errors import (
 from .gradcheck import run_all
 from .kernel import dft_magnitude_raw
 from .model import read_checkpoint, save_checkpoint
-from .retrieval import SIMILARITIES, KnowledgeBase, _check_options, _top_k, _unit_queries
+from .retrieval import (
+    SIMILARITIES,
+    SOFTMAX_TAU,
+    KnowledgeBase,
+    _check_options,
+    _top_k,
+    _unit_queries,
+)
 from .training import (
     FoldResult,
     TrainConfig,
@@ -144,7 +151,7 @@ def build_parser() -> _Parser:
     p_ret.add_argument("--kb", default=None)
     p_ret.add_argument("--queries", required=True, help="JSONL file, one vector per line")
     p_ret.add_argument("--k", type=int, default=3)
-    p_ret.add_argument("--tau", type=float, default=0.1)
+    p_ret.add_argument("--tau", type=float, default=SOFTMAX_TAU)
     p_ret.add_argument("--similarity", choices=SIMILARITIES, default="fidelity")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of every op")
@@ -307,6 +314,9 @@ def cmd_eval(args, file_values) -> int:
     stored = meta.get("train_config", {})
     if not isinstance(stored, dict):
         raise DataError(f"checkpoint {args.checkpoint}: meta.train_config is not an object")
+    if stored.get("retrieval_tau", SOFTMAX_TAU) != SOFTMAX_TAU:  # kept by older checkpoints
+        raise DataError(f"checkpoint {args.checkpoint}: train_config retrieval_tau="
+                        f"{stored['retrieval_tau']!r} is not the fixed {SOFTMAX_TAU}")
     kwargs = {k: v for k, v in stored.items() if k in _CONFIG_KEYS}
     for key, value in kwargs.items():
         kind = _CONFIG_KEYS[key]

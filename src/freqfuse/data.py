@@ -569,10 +569,7 @@ def class_frequencies(n_classes: int, d_model: int) -> np.ndarray:
             f"need C <= d_model / 2"
         )
     top = d_model // 2 - 1 if n_classes <= d_model // 2 - 1 else d_model // 2
-    if n_classes == 1:
-        freqs = np.array([1])
-    else:
-        freqs = np.rint(np.linspace(1, top, n_classes)).astype(int)
+    freqs = np.rint(np.linspace(1, top, n_classes)).astype(int)
     if len(set(freqs.tolist())) != n_classes:
         raise ConfigError(f"class bands collide for C={n_classes}, d_model={d_model}")
     return freqs

@@ -24,7 +24,7 @@ from .fusion import co_select, filter_compress, init_fusion_params, spectral_sta
 from .kernel import GradTape, Tensor, dft_magnitude
 from .kernel import ops
 from .losses import cross_entropy, info_nce, total_loss, augment
-from .model import classify, forward_batch, fuse, init_classifier_params, init_model_params
+from .model import classify, forward_batch, init_classifier_params, init_model_params
 from .rng import named_stream
 
 TOLERANCE = 1e-4

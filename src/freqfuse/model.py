@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import TEXT_DIM, VIT_DIM, DatasetManifest, _float_list, atomic_write_text
 from .errors import ConfigError, ContractError, DataError
-from .fusion import FusionParams, SpectralFeatures, init_fusion_params, spectral_stage
+from .fusion import K_FILTERS, FusionParams, SpectralFeatures, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor
 from .kernel import ops
 from .retrieval import KnowledgeBase, retrieve_batch
@@ -114,14 +114,12 @@ def init_classifier_params(
 def init_model_params(
     manifest: DatasetManifest,
     fusion_mode: str = "freq_only",
-    k_filters: int = 4,
+    k_filters: int = K_FILTERS,
     hidden1: int = 1024,
     hidden2: int = 256,
     dropout: float = 0.1,
     seed: int = 0,
 ) -> ModelParams:
-    if fusion_mode not in FUSION_MODES:
-        raise ConfigError(f"unknown fusion_mode {fusion_mode!r}")
     d = manifest.d_model
     rng = named_stream(seed, "params")
     w_t = Tensor(rng.standard_normal((d, TEXT_DIM)) / np.sqrt(TEXT_DIM))
@@ -157,20 +155,11 @@ def init_model_params(
     )
 
 
-def fuse(
-    t_enh: Tensor,
-    v_enh: Tensor,
-    k_agg: Tensor | None,
-    mode: str,
-    tape: GradTape | None = None,
-) -> Tensor:
-    if mode == "freq_only":
-        return ops.concat([t_enh, v_enh], tape)
-    if mode == "freq_plus_knowledge":
-        if k_agg is None:
-            raise ContractError("freq_plus_knowledge fusion requires k_agg")
-        return ops.concat([t_enh, v_enh, k_agg], tape)
-    raise ConfigError(f"unknown fusion_mode {mode!r}")
+def fuse(t_enh: Tensor, v_enh: Tensor, k_agg: Tensor | None,
+         tape: GradTape | None = None) -> Tensor:
+    """[t_enh | v_enh], followed by k_agg when retrieval produced one."""
+    segments = [t_enh, v_enh] if k_agg is None else [t_enh, v_enh, k_agg]
+    return ops.concat(segments, tape)
 
 
 def classify(
@@ -200,7 +189,6 @@ class ForwardOptions:
     co_selection: bool = True
     similarity: str = "fidelity"
     retrieval_k: int = 3
-    retrieval_tau: float = 0.1
 
 
 @dataclass
@@ -247,12 +235,9 @@ def forward_batch(
         if kb is None:
             raise ConfigError("freq_plus_knowledge requires a knowledge base")
         queries = 0.5 * (features.t_enhanced.data + features.v_enhanced.data)
-        k_agg = retrieve_batch(
-            queries, kb, k=options.retrieval_k, tau=options.retrieval_tau,
-            similarity=options.similarity,
-        )
+        k_agg = retrieve_batch(queries, kb, k=options.retrieval_k, similarity=options.similarity)
     k_tensor = Tensor(k_agg) if k_agg is not None else None
-    z = fuse(features.t_enhanced, features.v_enhanced, k_tensor, params.fusion_mode, tape)
+    z = fuse(features.t_enhanced, features.v_enhanced, k_tensor, tape)
     logits = classify(z, params.cls, train=train, rng=rng, tape=tape)
     return ForwardResult(t=t, v=v, features=features, k_agg=k_agg, logits=logits)
 

@@ -29,20 +29,20 @@ from .data import (
 )
 from .errors import ConfigError, NumericError
 from .kernel import AdamState, GradTape, Tensor, adam_step, ops
-from .losses import TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
+from .losses import AUG_SIGMA, TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
 from .model import FUSION_MODES, ForwardOptions, ModelParams, forward_batch, init_model_params
 from .retrieval import SIMILARITIES, KnowledgeBase
 from .rng import named_stream
+
+# the L2 weight decay of every Adam step
+WEIGHT_DECAY = 1e-5
 
 
 @dataclass
 class TrainConfig:
     lr: float = 5e-5
-    weight_decay: float = 1e-5
     batch_size: int = 32
     max_epochs: int = 50
-    lr_decay: float = 0.98
-    lr_decay_every: int = 5
     patience: int = 10
     folds: int = 5
     seed: int = 0
@@ -50,10 +50,7 @@ class TrainConfig:
     dropout: float = 0.1
     hidden1: int = 1024
     hidden2: int = 256
-    k_filters: int = 4
     retrieval_k: int = 3
-    retrieval_tau: float = 0.1
-    aug_sigma: float = 0.1
     # ablation switchboard
     frequency: bool = True
     contrastive: bool = True
@@ -70,24 +67,15 @@ class TrainConfig:
             "lr": self.lr,
             "batch_size": self.batch_size,
             "max_epochs": self.max_epochs,
-            "lr_decay": self.lr_decay,
-            "lr_decay_every": self.lr_decay_every,
             "folds": self.folds,
-            "k_filters": self.k_filters,
             "retrieval_k": self.retrieval_k,
-            "retrieval_tau": self.retrieval_tau,
             "hidden1": self.hidden1,
             "hidden2": self.hidden2,
         }
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        for name, value in (
-            ("weight_decay", self.weight_decay),
-            ("patience", self.patience),
-            ("clip_norm", self.clip_norm),
-            ("aug_sigma", self.aug_sigma),
-        ):
+        for name, value in (("patience", self.patience), ("clip_norm", self.clip_norm)):
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
         if not 0.0 <= self.dropout < 1.0:
@@ -105,7 +93,6 @@ class TrainConfig:
             co_selection=self.co_selection,
             similarity=self.similarity,
             retrieval_k=self.retrieval_k,
-            retrieval_tau=self.retrieval_tau,
         )
 
 
@@ -144,17 +131,8 @@ class MetricsReport:
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based); tied values share the mean of their positions."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sorted_x = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -299,7 +277,6 @@ def train_fold(
     params = init_model_params(
         manifest,
         fusion_mode=config.fusion_mode,
-        k_filters=config.k_filters,
         hidden1=config.hidden1,
         hidden2=config.hidden2,
         dropout=config.dropout,
@@ -319,7 +296,7 @@ def train_fold(
     step = 0
 
     for epoch in range(config.max_epochs):
-        lr = schedule_lr(config.lr, epoch, config.lr_decay, config.lr_decay_every)
+        lr = schedule_lr(config.lr, epoch)
         perm = named_stream(config.seed, "shuffle", fold, epoch).permutation(len(train_idx))
         shuffled = train_idx[perm]
         loss_sum = 0.0
@@ -343,8 +320,8 @@ def train_fold(
                 ce = cross_entropy(fwd.logits, labels[idx], tape)
                 if config.contrastive:
                     aug_rng = named_stream(config.seed, "augment", fold, epoch, batch_no)
-                    t_aug = augment(fwd.t, config.aug_sigma, aug_rng, tape)
-                    v_aug = augment(fwd.v, config.aug_sigma, aug_rng, tape)
+                    t_aug = augment(fwd.t, AUG_SIGMA, aug_rng, tape)
+                    v_aug = augment(fwd.v, AUG_SIGMA, aug_rng, tape)
                     intra_t = info_nce(fwd.t, t_aug, TAU_INTRA, tape)
                     intra_v = info_nce(fwd.v, v_aug, TAU_INTRA, tape)
                     cross = info_nce(fwd.t, fwd.v, TAU_CROSS, tape)
@@ -359,7 +336,7 @@ def train_fold(
                 tape.backward(total)
                 _clip_gradients(state.grad, config.clip_norm)
                 step += 1
-                adam_step(named, state, lr=lr, weight_decay=config.weight_decay, t=step)
+                adam_step(named, state, lr=lr, weight_decay=WEIGHT_DECAY, t=step)
             except NumericError as exc:
                 # locate numeric blow-ups so long runs fail with context
                 raise NumericError(

@@ -53,7 +53,9 @@ def test_help_lists_no_removed_switch(command, capsys):
     assert run([command, "--help"]) == EXIT_OK
     text = capsys.readouterr().out
     assert "--fusion-mode" in text
-    for flag in ("--retrieval ", "--contrastive-space", "--tie-filters"):
+    for flag in ("--retrieval ", "--contrastive-space", "--tie-filters", "--weight-decay",
+                 "--lr-decay", "--lr-decay-every", "--k-filters", "--retrieval-tau",
+                 "--aug-sigma"):
         assert flag not in text
 
 
@@ -202,12 +204,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["retrieval = off", "contrastive_space = enhanced", "tie_filters = on"]
+    "line",
+    ["retrieval = off", "contrastive_space = enhanced", "tie_filters = on",
+     "weight_decay = 1e-5", "lr_decay = 0.98", "lr_decay_every = 5", "k_filters = 4",
+     "retrieval_tau = 0.1", "aug_sigma = 0.1"],
 )
 def test_config_file_removed_switch_is_unknown_key(line, synth_dir, tmp_path, capsys):
     """Retrieval follows fusion_mode, the contrastive losses act on the
-    projected features, and each modality has its own filter bank: a config
-    naming the switches that once chose otherwise is rejected, not ignored."""
+    projected features, each modality has its own filter bank, and the paper's
+    fixed hyperparameters are constants: a config naming a field that once
+    chose otherwise is rejected, not ignored, even at the constant's value."""
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
     code = run(["train", "--config", str(cfg), "--dataset", str(synth_dir / "dataset.jsonl"),
@@ -366,12 +372,14 @@ def knowledge_ckpt(synth_dir, tmp_path_factory):
 
 def test_checkpoint_with_removed_switches_evaluates_the_same(synth_dir, knowledge_ckpt,
                                                             tmp_path, capsys):
-    """A checkpoint written before retrieval, contrastive_space and
-    tie_filters left TrainConfig still carries them; eval ignores them."""
+    """A checkpoint written before retrieval, contrastive_space, tie_filters
+    and the six fixed hyperparameters left TrainConfig still carries them, the
+    latter at their constants' values; eval ignores them."""
     blob = json.loads(knowledge_ckpt.read_text())
     blob["meta"]["tie_filters"] = False
     blob["meta"]["train_config"].update(
-        retrieval=True, contrastive_space="spatial", tie_filters=False
+        retrieval=True, contrastive_space="spatial", tie_filters=False, weight_decay=1e-5,
+        lr_decay=0.98, lr_decay_every=5, k_filters=4, retrieval_tau=0.1, aug_sigma=0.1,
     )
     old = tmp_path / "old.ckpt.json"
     old.write_text(json.dumps(blob))
@@ -671,9 +679,10 @@ def _out_dir_is_a_file(command):
         (_ckpt_edited("meta", "train_config", "batch_size", value=True), EXIT_DATA),
         (_ckpt_edited("meta", "dropout", value=False), EXIT_DATA),
         (_ckpt_edited("meta", "train_config", "retrieval_k", value=100), EXIT_DATA),
+        (_ckpt_edited("meta", "train_config", "retrieval_tau", value=0.5), EXIT_DATA),
         (_train_flags("--lr", "nan"), EXIT_USAGE),
         (_train_flags("--lr", "inf"), EXIT_USAGE),
-        (_train_flags("--retrieval-tau", "nan"), EXIT_USAGE),
+        (_train_flags("--clip-norm", "nan"), EXIT_USAGE),
         (_retrieve_flags("--tau", "nan"), EXIT_USAGE),
         (_retrieve_flags("--tau", "inf"), EXIT_USAGE),
         (_ckpt_edited("meta", "train_config", "lr", value=float("nan")), EXIT_DATA),
@@ -743,9 +752,10 @@ def _out_dir_is_a_file(command):
         "ckpt-batch-size-true",
         "ckpt-meta-dropout-false",
         "eval-retrieval-k-above-kb-size",
+        "ckpt-retrieval-tau-not-the-constant",
         "train-lr-nan",
         "train-lr-inf",
-        "train-retrieval-tau-nan",
+        "train-clip-norm-nan",
         "retrieve-tau-nan",
         "retrieve-tau-inf",
         "ckpt-lr-nan",

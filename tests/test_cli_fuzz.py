@@ -34,7 +34,7 @@ SMALL = ["--folds", "2", "--fold", "0", "--max-epochs", "1", "--hidden1", "8", "
 CONFIG = (
     "# knowledge-fusion run\n"
     "folds = 2\nbatch_size = 8\nlr = 0.001\nclip_norm = 5.0\ndropout = 0.1\n"
-    "retrieval_k = 2\naug_sigma = 0.1\nfusion_mode = freq_plus_knowledge\n"
+    "retrieval_k = 2\nfusion_mode = freq_plus_knowledge\n"
     "similarity = fidelity\nseed = 5\n"
 )
 
@@ -137,6 +137,14 @@ def _command(kind, inputs, out, path=None):
 
 
 RUNS = {"dataset": 55, "kb": 60, "checkpoint": 70, "queries": 70, "config": 55, "spectrum": 55}
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_unmutated_input_exits_0_without_stderr(kind, inputs, tmp_path, capsys):
+    """Each kind's valid input runs cleanly, so that its mutations start
+    from a working input: an invalid base would fail every mutation for
+    the same reason and hide the rest."""
+    assert _run(_command(kind, inputs, tmp_path / "out"), capsys) == (EXIT_OK, [])
 
 
 @pytest.mark.parametrize("kind", sorted(RUNS))

@@ -43,21 +43,21 @@ def test_fused_width_per_mode():
     assert fusion_in_dim(256, "freq_plus_knowledge") == 768
     with pytest.raises(ConfigError):
         fusion_in_dim(256, "spatial")
+    with pytest.raises(ConfigError, match="unknown fusion_mode 'spatial'"):
+        init_model_params(PRE, fusion_mode="spatial", hidden1=16, hidden2=8)
     rng = named_stream(0, "test-width")
     t = Tensor(rng.standard_normal((2, 256)))
     v = Tensor(rng.standard_normal((2, 256)))
     k = Tensor(rng.standard_normal((2, 256)))
-    assert fuse(t, v, None, "freq_only").shape == (2, 512)
-    assert fuse(t, v, k, "freq_plus_knowledge").shape == (2, 768)
-    with pytest.raises(ContractError):
-        fuse(t, v, None, "freq_plus_knowledge")
+    assert fuse(t, v, None).shape == (2, 512)
+    assert fuse(t, v, k).shape == (2, 768)
 
 
 def test_fuse_keeps_segment_order():
     t = Tensor([[1.0, 2.0]])
     v = Tensor([[3.0, 4.0]])
     k = Tensor([[5.0, 6.0]])
-    z = fuse(t, v, k, "freq_plus_knowledge")
+    z = fuse(t, v, k)
     assert np.array_equal(z.data, [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
 
 

@@ -103,6 +103,12 @@ def test_make_folds_deterministic_and_guarded():
 def test_midranks_and_binary_auc():
     assert np.array_equal(_midranks(np.array([10.0, 30.0, 20.0])), [1.0, 3.0, 2.0])
     assert np.array_equal(_midranks(np.array([1.0, 1.0, 2.0])), [1.5, 1.5, 3.0])
+    # ties drawn from a few values: each rank is the mean of the 1-based
+    # positions its value takes in sorted order
+    x = named_stream(7, "test-midranks").integers(0, 12, 300).astype(float)
+    sorted_x = np.sort(x)
+    positions = {v: np.flatnonzero(sorted_x == v) + 1 for v in set(x.tolist())}
+    assert np.array_equal(_midranks(x), [positions[v].mean() for v in x.tolist()])
     # perfect separation, reversed separation, and all-tied scores
     pos = np.array([False, False, True, True])
     assert _binary_auc(np.array([0.1, 0.2, 0.8, 0.9]), pos) == 1.0

@@ -9,8 +9,11 @@
 # --workers 1, with the default worker count (one per usable core) and with
 # --workers 2, eval, retrieve, spectrum and gradcheck, then retrieve
 # at --k 1 and 3, fidelity and cosine, on a 20,000-entry KB built from the
-# synthetic one. It keeps every file a command writes, its stdout and its exit
-# code; stderr is kept aside (warnings name source lines) and not compared.
+# synthetic one. Then each tree's eval reads the checkpoint, dataset and KB
+# that the PARENT tree wrote, so a change that evaluates an older checkpoint
+# differently shows up as a differing eval_parent_ckpt.out. It keeps every
+# file a command writes, its stdout and its exit code; stderr is kept aside
+# (warnings name source lines) and not compared.
 # Commands run inside the output directory with relative paths, so printed
 # paths match. The script names each file that differs or exists on one side
 # only, and exits 1 if any does, 0 if none. For a .json file on both sides it
@@ -90,8 +93,18 @@ with open("large_queries.jsonl", "w") as fh:
     step gradcheck gradcheck --seed 0
 }
 
+# eval_parent_ckpt SRC DIR: eval from SRC, in DIR, of what the PARENT tree wrote
+eval_parent_ckpt() {
+    src=$1
+    cd "$2"
+    step eval_parent_ckpt eval --dataset ../parent/data/dataset.jsonl \
+        --kb ../parent/data/kb.jsonl --checkpoint ../parent/train/fold0.ckpt.json
+}
+
 (run_tree "$parent_src" "$work/parent")
 (run_tree "$change_src" "$work/change")
+(eval_parent_ckpt "$parent_src" "$work/parent")
+(eval_parent_ckpt "$change_src" "$work/change")
 
 differ=0
 files=$(cd "$work" && { find parent change -type f ! -name '*.stderr' | cut -d/ -f2- | sort -u; })
