@@ -37,7 +37,7 @@ class ClassifierParams:
     ln2_shift: Tensor
     w3: Tensor
     b3: Tensor
-    dropout: float = 0.1
+    dropout: float
 
     @property
     def in_dim(self) -> int:
@@ -89,9 +89,9 @@ def fusion_in_dim(d_model: int, fusion_mode: str) -> int:
 def init_classifier_params(
     in_dim: int,
     n_classes: int,
-    hidden1: int = 1024,
-    hidden2: int = 256,
-    dropout: float = 0.1,
+    hidden1: int,
+    hidden2: int,
+    dropout: float,
     rng: np.random.Generator | None = None,
 ) -> ClassifierParams:
     if rng is None:
@@ -113,11 +113,12 @@ def init_classifier_params(
 
 def init_model_params(
     manifest: DatasetManifest,
+    *,
+    hidden1: int,
+    hidden2: int,
+    dropout: float,
     fusion_mode: str = "freq_only",
     k_filters: int = K_FILTERS,
-    hidden1: int = 1024,
-    hidden2: int = 256,
-    dropout: float = 0.1,
     seed: int = 0,
 ) -> ModelParams:
     d = manifest.d_model

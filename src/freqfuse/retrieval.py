@@ -103,18 +103,20 @@ def _columns(entries: list[KnowledgeEntry]) -> KnowledgeColumns:
 _UNIT_CHUNK_ROWS = 4096
 # Below this many entries `_top_k` sends every (query, entry) pair straight to
 # `_pair_scores` instead of screening first. On 2 cores (numpy 2.4.6, OpenBLAS
-# 0.3.31, d=64, k=3) all pairs and the screen cost the same at about 96
-# entries for B=32 (381-389 against 381-414 us) and 112 for B=400 (4.40-4.42
-# against 4.53-4.67 ms); at 112 the screen is 10 % faster at B=32.
-_SCREEN_MIN_ENTRIES = 112
+# 0.3.31, d=64, k=3, two runs) all pairs and the screen cost the same at 64 to
+# 96 entries for B=32 and 72 to 96 for B=400; at 96 the screen is 6-25 %
+# faster at B=32 (214-403 against 285-427 us) and 5-7 % at B=400.
+_SCREEN_MIN_ENTRIES = 96
 # candidate pairs rescored together; bounds the gathered (pairs, d) rows
 _PAIR_CHUNK = 1 << 12
 # KB rows `_screen` scores together, rounded down to whole blocks (at least k).
-# For 32 queries it holds about 2 MB of float32 scores and 1 MB of block-max
-# tree, whatever the KB size. At 1e5 entries this retrieves as fast as one
+# For 32 queries it holds about 2 MB of float32 scores and 32 KB of block
+# maxima, whatever the KB size. At 1e5 entries this retrieves as fast as one
 # pass over the whole KB did; 2^15 rows was no faster and kept ~8 MB more
 # resident after an eval pass.
 _SCREEN_CHUNK_ROWS = 1 << 14
+# entries per strided block of `_screen`
+_BLOCK_WIDTH = 64
 
 
 class KnowledgeBase:
@@ -173,13 +175,6 @@ class RetrievalResult:
     indices: np.ndarray
 
 
-def _block_width(n: int, k: int) -> int:
-    """Entries per block for `_screen`: about 2 sqrt(N), where the block-max
-    pass and the candidate scan cost about the same, and never so wide that
-    fewer than k whole blocks fit."""
-    return min(2 * isqrt(n), n // k)
-
-
 def _check_options(kb: KnowledgeBase, k: int, tau: float, similarity: str) -> None:
     if k < 1 or k > len(kb):
         raise ConfigError(f"k={k} outside [1, {len(kb)}]")
@@ -218,21 +213,6 @@ def _pair_scores(q: np.ndarray, unit: np.ndarray, similarity: str) -> np.ndarray
     return cos * cos if similarity == "fidelity" else cos
 
 
-def _block_max(s: np.ndarray, width: int) -> np.ndarray:
-    """Max of each run of `width` rows of an (m * width, B) matrix, shape (m, B).
-    A halving tree of elementwise maxima over half-blocks; numpy's max over
-    the middle axis of (m, width, B) is about 2.5x slower at B=32."""
-    blocks = s.reshape(len(s) // width, width, s.shape[1])
-    half = (width + 1) // 2  # an odd width's middle row meets itself
-    top = np.maximum(blocks[:, :half], blocks[:, width - half :])
-    w = half
-    while w > 1:
-        half = w // 2
-        np.maximum(top[:, :half], top[:, w - half : w], out=top[:, :half])
-        w -= half
-    return top[:, 0].copy()  # not a view, which would keep the whole tree alive
-
-
 def _screen(qn: np.ndarray, kb: KnowledgeBase, k: int, similarity: str):
     """(rows, cols) of a superset of each query's top-k entries, found from
     float32 scores.
@@ -253,39 +233,43 @@ def _screen(qn: np.ndarray, kb: KnowledgeBase, k: int, similarity: str):
     every entry at or above that floor keeps the whole top k; ranking the kept
     entries by float64 score gives it exactly.
 
-    The KB is scored in chunks of whole blocks (`_SCREEN_CHUNK_ROWS`), so the
-    float32 scores held at once do not grow with the KB. t is taken over the
-    blocks seen so far: a lower bound on the final t, for which the argument
-    above holds unchanged. Each chunk keeps its entries at or above that
-    running floor with their float32 scores; those below the final floor are
-    dropped at the end, leaving the set one pass over the whole KB keeps."""
+    The KB is scored in chunks (`_SCREEN_CHUNK_ROWS`), so the float32 scores
+    held at once do not grow with the KB. A chunk of m * W rows holds m
+    disjoint strided blocks: block j is its rows j, j + m, j + 2m, ..., so
+    every block max comes from one reduction over the chunk's W slabs of m
+    rows. W is `_BLOCK_WIDTH`, or sqrt(N) on a smaller KB, and never so wide
+    that the first chunk holds fewer than k blocks. The last chunk's rows past
+    its whole blocks belong to no block. t is taken over the blocks seen so
+    far: a lower bound on the final t, for which the argument above holds
+    unchanged. Each chunk keeps its entries at or above that running floor
+    with their float32 scores; those below the final floor are dropped at the
+    end, leaving the set one pass over the whole KB keeps."""
     delta = 4 * (kb.d_model + 2) * 2.0**-24
     q32 = qn.astype(np.float32).T
     n, b = len(kb), len(qn)
-    width = _block_width(n, k)
-    whole = n // width * width
+    width = min(_BLOCK_WIDTH, isqrt(n), n // k)
     step = max(_SCREEN_CHUNK_ROWS // width, k) * width
     best = np.empty((0, b), dtype=np.float32)  # the k largest block maxima so far
     found = []  # (rows, cols, float32 scores) kept from each chunk
-    buf = np.empty((min(step + width, n), b), dtype=np.float32)  # every chunk's scores
-    for start in range(0, whole, step):
-        # the tail of fewer than `width` entries joins the last chunk
-        stop = start + step if start + step < whole else n
-        s = np.matmul(kb.unit32[start:stop], q32, out=buf[: stop - start])  # (rows, B)
+    buf = np.empty((min(step, n), b), dtype=np.float32)  # every chunk's scores
+    for start in range(0, n, step):
+        s = np.matmul(kb.unit32[start : start + step], q32, out=buf[: min(step, n - start)])
         if similarity == "fidelity":
             np.multiply(s, s, out=s)
-        m = min(stop, whole) - start
-        tops = _block_max(s[:m], width)
+        m = len(s) // width
+        blocks = s[: m * width].reshape(width, m, b)
+        tops = blocks.max(axis=0)
         best = np.partition(np.concatenate((best, tops)), -k, axis=0)[-k:]
         # one float32 step down, so rounding the subtraction never raises the floor
         floor = np.nextafter(best[0] - np.float32(2 * delta), np.float32(-np.inf))
         # flat indices: numpy's two-dimensional nonzero is several times slower
         block, rows = np.divmod(np.flatnonzero(tops >= floor), b)
-        vals = s[:m].reshape(-1, width, b)[block, :, rows]
-        i, j = np.divmod(np.flatnonzero(vals >= floor[rows, None]), width)
-        found.append((rows[i], start + block[i] * width + j, vals[i, j]))
-    tail, rows = np.divmod(np.flatnonzero(s[m:] >= floor), b)
-    found.append((rows, whole + tail, s[m:][tail, rows]))
+        vals = blocks[:, block, rows]  # (width, candidate blocks)
+        j, i = np.divmod(np.flatnonzero(vals >= floor[rows]), len(block))
+        found.append((rows[i], start + j * m + block[i], vals[j, i]))
+    rest = s[m * width :]  # the last chunk's rows past its blocks: fewer than `width`
+    extra, rows = np.divmod(np.flatnonzero(rest >= floor), b)
+    found.append((rows, start + m * width + extra, rest[extra, rows]))
     rows, cols, vals = (np.concatenate(part) for part in zip(*found))
     keep = vals >= floor[rows]
     return rows[keep], cols[keep]

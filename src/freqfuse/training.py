@@ -36,6 +36,9 @@ from .rng import named_stream
 
 # the L2 weight decay of every Adam step
 WEIGHT_DECAY = 1e-5
+# the learning rate is multiplied by LR_DECAY every LR_DECAY_EVERY epochs
+LR_DECAY = 0.98
+LR_DECAY_EVERY = 5
 
 
 @dataclass
@@ -96,9 +99,9 @@ class TrainConfig:
         )
 
 
-def schedule_lr(base: float, epoch: int, decay: float = 0.98, every: int = 5) -> float:
-    """Step decay: base * decay^(epoch // every), epochs counted from 0."""
-    return base * decay ** (epoch // every)
+def schedule_lr(base: float, epoch: int) -> float:
+    """Step decay: base * LR_DECAY^(epoch // LR_DECAY_EVERY), epochs counted from 0."""
+    return base * LR_DECAY ** (epoch // LR_DECAY_EVERY)
 
 
 def make_folds(samples: list[Sample], k: int = 5, seed: int = 0) -> np.ndarray:
@@ -346,7 +349,10 @@ def train_fold(
             ce_sum += breakdown.ce * len(idx)
             contrast_sum += (breakdown.total - breakdown.ce) * len(idx)
 
-        val_metrics = evaluate_arrays(params, val_questions, val_images, val_labels, kb, config)
+        try:
+            val_metrics = evaluate_arrays(params, val_questions, val_images, val_labels, kb, config)
+        except NumericError as exc:
+            raise NumericError(f"validation at epoch {epoch} (fold {fold}): {exc}") from exc
         history.append(
             EpochRecord(
                 epoch=epoch,

@@ -1085,6 +1085,22 @@ def test_diverging_run_prints_one_line_and_no_numpy_warning(synth_dir, tmp_path,
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+def test_validation_failure_names_its_fold_and_epoch(tmp_path, capsys):
+    # one batch an epoch: the step is finite, and the validation pass after it
+    # overflows
+    data = tmp_path / "data"
+    assert run(["synth", "--out-dir", str(data), "--classes", "3", "--per-class", "8",
+                "--d-model", "16"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["train", "--dataset", str(data / "dataset.jsonl"), "--out-dir",
+                str(tmp_path / "out"), "--lr", "1e300", "--batch-size", "64", "--folds", "2",
+                "--hidden1", "16", "--hidden2", "8", "--workers", "1"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "freqfuse: numeric error: validation at epoch 0 (fold 0): "
+        "non-finite values produced by tensor\n"
+    )
+
+
 def test_usage_error_is_one_line_and_help_keeps_the_usage(capsys):
     assert run(["train", "--seed", "abc"]) == EXIT_USAGE
     err = capsys.readouterr().err

@@ -28,7 +28,8 @@ VIT = DatasetManifest(n_classes=3, d_model=8, feature_layout="vit")
 
 
 def tiny_params(manifest=PRE, mode="freq_only", seed=0):
-    return init_model_params(manifest, fusion_mode=mode, hidden1=16, hidden2=8, seed=seed)
+    return init_model_params(manifest, fusion_mode=mode, hidden1=16, hidden2=8, dropout=0.1,
+                             seed=seed)
 
 
 def tiny_kb(d=8, n=6, seed=0):
@@ -44,7 +45,7 @@ def test_fused_width_per_mode():
     with pytest.raises(ConfigError):
         fusion_in_dim(256, "spatial")
     with pytest.raises(ConfigError, match="unknown fusion_mode 'spatial'"):
-        init_model_params(PRE, fusion_mode="spatial", hidden1=16, hidden2=8)
+        init_model_params(PRE, fusion_mode="spatial", hidden1=16, hidden2=8, dropout=0.1)
     rng = named_stream(0, "test-width")
     t = Tensor(rng.standard_normal((2, 256)))
     v = Tensor(rng.standard_normal((2, 256)))
@@ -63,7 +64,7 @@ def test_fuse_keeps_segment_order():
 
 def test_zeroed_classifier_outputs_final_bias():
     rng = named_stream(1, "test-zero-cls")
-    params = init_classifier_params(10, 4, hidden1=6, hidden2=5, rng=rng)
+    params = init_classifier_params(10, 4, hidden1=6, hidden2=5, dropout=0.1, rng=rng)
     for name, tensor in params.named().items():
         if name.endswith(("gain",)):
             continue
@@ -242,7 +243,8 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
 @pytest.mark.parametrize("manifest", [PRE, VIT], ids=["precomputed", "vit"])
 @pytest.mark.parametrize("mode", ["freq_only", "freq_plus_knowledge"])
 def test_param_shapes_match_the_built_model(manifest, mode):
-    params = init_model_params(manifest, fusion_mode=mode, k_filters=3, hidden1=12, hidden2=5)
+    params = init_model_params(manifest, fusion_mode=mode, k_filters=3, hidden1=12, hidden2=5,
+                               dropout=0.1)
     meta = {"d_model": manifest.d_model, "n_classes": manifest.n_classes, "k_filters": 3,
             "feature_layout": manifest.feature_layout, "fusion_mode": mode, "hidden1": 12,
             "hidden2": 5}
@@ -253,7 +255,7 @@ def test_param_shapes_match_the_built_model(manifest, mode):
 
 def test_hook_parsed_checkpoint_is_bit_identical_to_a_whole_parse(tmp_path):
     params = init_model_params(VIT, fusion_mode="freq_plus_knowledge", hidden1=16, hidden2=8,
-                               seed=4)
+                               dropout=0.1, seed=4)
     rng = named_stream(4, "test-ckpt-bits")
     specials = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
                          0.1, 1.0 / 3.0])

@@ -1,4 +1,5 @@
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from freqfuse.retrieval import (
     DensityMatrix,
     KnowledgeBase,
     QuantumState,
-    _block_width,
     _screen,
     _top_k,
     density,
@@ -26,6 +26,7 @@ from freqfuse.retrieval import (
     retrieve,
     retrieve_batch,
 )
+from freqfuse import retrieval
 from freqfuse.kernel import Tensor, ops
 from freqfuse.rng import named_stream
 
@@ -413,25 +414,47 @@ def test_top_k_matches_full_sort_oracle_with_ties():
     assert boundary_ties > 50
 
 
-def _blocked_kb(rng, n, width, anchors):
+def _layout(n, k):
+    """(block width, chunk rows) of `_screen` on n entries at k, read from the
+    module's constants so that a monkeypatched value applies. A chunk of m
+    blocks holds its rows j, j + m, j + 2m, ... in block j."""
+    width = min(retrieval._BLOCK_WIDTH, isqrt(n), n // k)
+    return width, max(retrieval._SCREEN_CHUNK_ROWS // width, k) * width
+
+
+def _blocked_kb(rng, n, k, anchors):
     """n gaussian entries with each anchor copied, exactly and scaled by powers
-    of two, into both sides of a block boundary and into the tail (or, with no
-    tail, the last whole block), so its copies tie across blocks. With blocks
-    of one entry some places coincide and the later copy wins."""
+    of two, into places of the screen's layout at k, so its copies tie within
+    a block and across blocks and chunks:
+    - anchor 0 into three rows of one strided block of the first chunk, and
+      into the last row;
+    - anchor 1 into its last and first blocks (rows m - 1 and m) and both
+      sides of the first chunk boundary;
+    - anchor 2 into both sides of the last chunk's last whole block (the
+      first row past it, if any) and the last row but one;
+    - anchor a also into row 3 + a, so that it has two copies in any layout.
+    A place past the KB or taken by an earlier place is skipped."""
     vecs = rng.standard_normal((n, anchors.shape[1]))
-    full = n // width * width
-    mid = n // width // 2 * width
+    width, step = _layout(n, k)
+    m = min(step, n) // width  # blocks in the first chunk
+    last = (n - 1) // step * step
+    end = last + (n - last) // width * width  # past the last chunk's whole blocks
     places = [
-        (0, (width - 1, width, n - 1)),
-        (1, (mid - 1, mid, full - 1)),
-        (2, (full - 3, min(full, n - 1), n - 2)),
+        (0, (1, 1 + m, 1 + 2 * m, n - 1, 3)),
+        (1, (m - 1, m, step - 1, step, 4)),
+        (2, (end - 1, end, n - 2, 5)),
     ]
+    taken = set()
     for a, positions in places:
-        for scale, p in zip((1.0, 2.0, 0.25), positions):
+        free = [p for p in positions if p < n and p not in taken]
+        taken.update(free)
+        for scale, p in zip((1.0, 2.0, 0.25, 8.0, 0.5), free):
             vecs[p] = scale * anchors[a]
     return KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
 
 
+# 4097 entries are one chunk of 64 blocks and a row past them; 20011 are a
+# chunk of 256 blocks and one of 56 with 43 rows past them
 @pytest.mark.parametrize("n", [4097, 20011])
 def test_block_max_top_k_is_exact_where_blocks_prune(n):
     rng = named_stream(0, "test-block-topk", n)
@@ -440,9 +463,10 @@ def test_block_max_top_k_is_exact_where_blocks_prune(n):
         [anchors, anchors + 0.01 * rng.standard_normal(anchors.shape),
          rng.standard_normal((3, 6))]
     )
-    nb = n // _block_width(n, 3)
+    width, step = _layout(n, 3)
+    nb = min(step, n) // width  # blocks in the first chunk
     for k in (1, 3, nb - 1, nb, nb + 1, n):
-        kb = _blocked_kb(rng, n, _block_width(n, k), anchors)
+        kb = _blocked_kb(rng, n, k, anchors)
         for similarity in ("fidelity", "cosine"):
             scores = _pair_oracle_scores(queries, kb, similarity)
             expect = _oracle_top_k(scores, k)
@@ -455,6 +479,23 @@ def test_block_max_top_k_is_exact_where_blocks_prune(n):
             best = np.sort(scores, axis=1)[:, -2:]
             assert np.sum(best[:, 0] == best[:, 1]) >= 3
 
+
+@pytest.mark.parametrize("k", [3, 257], ids=["k-below-blocks", "k-above-blocks"])
+def test_screen_is_exact_at_chunk_sizes(k):
+    # KBs of one chunk less one row, one chunk, one chunk and a row, and under
+    # half a chunk, at the real constants: 256 blocks of 64 a chunk, or k
+    # blocks when k is larger. One less row than k blocks of 64 narrows the
+    # blocks to 63, so that KB is one chunk and a few rows past its blocks.
+    _, step = _layout(64 * k, k)
+    for n in (step - 1, step, step + 1, step // 2 - 7):
+        rng = named_stream(3, "test-screen-chunk-sizes", n)
+        vecs = rng.standard_normal((n, 6))
+        copies = rng.permutation(n)[:40]
+        vecs[copies] = vecs[copies[0]] * rng.choice([0.5, 1.0, 4.0], size=(40, 1))
+        kb = KnowledgeBase([entry(i, v) for i, v in enumerate(vecs)])
+        queries = np.concatenate([vecs[copies[:2]] + 0.01 * rng.standard_normal((2, 6)),
+                                  rng.standard_normal((4, 6))])
+        _exact_top_k(queries, kb, k)
 
 
 @pytest.mark.parametrize("n", [8, 20000], ids=["all-pairs", "screened"])
@@ -500,7 +541,8 @@ def _crowded_kb(rng, n, d, queries, per_query):
 
 def test_screen_margin_keeps_the_exact_top_k():
     n, d = 3001, 16
-    nb = n // _block_width(n, 3)
+    width, _ = _layout(n, 3)
+    nb = n // width
     assert n >= _SCREEN_MIN_ENTRIES
     rng = named_stream(0, "test-screen-margin")
     queries = rng.standard_normal((4, d))
@@ -551,26 +593,29 @@ def _near(rng, q, fid, count):
     return np.sqrt(fid) * q + np.sqrt(1.0 - fid) * ortho
 
 
-# 6006 entries are 39 whole blocks of 154; 6050 add a tail of 44
+# blocks of 13 in chunks of 6: 6006 entries are 77 whole chunks; 6050 add a
+# last chunk of 3 blocks with 5 rows past them
 @pytest.mark.parametrize("n", [6006, 6050])
 def test_streaming_screen_finds_top_k_in_the_last_chunk_behind_decoys(n, monkeypatch):
-    # chunks of 5 blocks: the first seven chunks hold decoys that score high
-    # (fidelity 0.9), so each sets a running floor that keeps them; the true
-    # top 3 (fidelity 0.995 and 0.999) sit in the last chunk, one of them in
-    # the tail when there is one
+    # the early chunks hold decoys that score high (fidelity 0.9), so the
+    # running floor keeps them; the true top 3 (fidelity 0.995 and 0.999) sit
+    # in the last chunk, one of them past its whole blocks when it has such
+    # rows, so that chunk must raise the floor before the final drop
     d, k = 16, 3
-    width = _block_width(n, k)
-    monkeypatch.setattr("freqfuse.retrieval._SCREEN_CHUNK_ROWS", 5 * width)
+    monkeypatch.setattr("freqfuse.retrieval._BLOCK_WIDTH", 13)
+    monkeypatch.setattr("freqfuse.retrieval._SCREEN_CHUNK_ROWS", 6 * 13)
+    width, step = _layout(n, k)
     rng = named_stream(0, "test-streaming-decoys", n)
     queries = rng.standard_normal((4, d))
     unit = queries / np.linalg.norm(queries, axis=1)[:, None]
     vecs = rng.standard_normal((n, d))
-    last = n // width // 5 * 5 * width  # start of the last chunk
+    last = (n - 1) // step * step  # start of the last chunk
+    m = (n - last) // width  # its blocks: block j holds rows last + j + m i
     decoys = rng.permutation(last)[: 4 * 35].reshape(4, 35)
     # three in the last chunk's first three blocks, so that they hold the 3
-    # largest block maxima, and a better one in the last rows: the tail's, or
-    # the last block's
-    best = np.array([[last + 7 * r, last + width + 11 * r, last + 2 * width + 13 * r, n - 1 - r]
+    # largest block maxima, and a better one in the last rows: past the
+    # blocks, or in the last chunk's last blocks
+    best = np.array([[last + j + m * (r + 3 * j) for j in range(3)] + [n - 1 - r]
                      for r in range(4)])
     for row, q in enumerate(unit):
         vecs[decoys[row]] = _near(rng, q, 0.9, 35) * rng.uniform(0.5, 2.0, (35, 1))
@@ -590,19 +635,20 @@ def test_streaming_screen_finds_top_k_in_the_last_chunk_behind_decoys(n, monkeyp
 @pytest.mark.parametrize("n", [6006, 6050])
 def test_streaming_screen_keeps_ties_across_a_chunk_boundary(n, monkeypatch):
     # an anchor's exact copies (scaled by powers of two, so their unit rows are
-    # the same bits) sit on both sides of each chunk boundary and in the last
-    # rows: every copy ties, and the earliest copies win at the k boundary
+    # the same bits) sit on both sides of each chunk boundary, which are the
+    # last row of the last block and the first row of block 0, and in the last
+    # row: every copy ties, and the earliest copies win at the k boundary
     d = 6
     rng = named_stream(1, "test-streaming-ties", n)
     anchor = rng.standard_normal(d)
     queries = np.concatenate([anchor[None], anchor + 0.01 * rng.standard_normal((2, d)),
                               rng.standard_normal((2, d))])
+    monkeypatch.setattr("freqfuse.retrieval._BLOCK_WIDTH", 13)
     for k, blocks in ((1, 4), (3, 4), (5, 4), (9, 2)):  # k = 5 and 9: k blocks a chunk
-        width = _block_width(n, k)
-        monkeypatch.setattr("freqfuse.retrieval._SCREEN_CHUNK_ROWS", blocks * width)
-        step = max(blocks, k) * width
+        monkeypatch.setattr("freqfuse.retrieval._SCREEN_CHUNK_ROWS", blocks * 13)
+        _, step = _layout(n, k)
         vecs = rng.standard_normal((n, d))
-        places = [p for edge in range(step, n // width * width, step) for p in (edge - 1, edge)]
+        places = [p for edge in range(step, n, step) for p in (edge - 1, edge)]
         places.append(n - 1)
         for scale, p in zip(np.resize([1.0, 2.0, 0.25, 8.0], len(places)), places):
             vecs[p] = scale * anchor

@@ -64,7 +64,6 @@ def test_schedule_lr_exact_step_decay():
     assert schedule_lr(base, 4) == base
     assert schedule_lr(base, 5) == base * 0.98
     assert schedule_lr(base, 10) == base * 0.98**2
-    assert schedule_lr(1e-3, 7, decay=0.5, every=2) == 1e-3 * 0.5**3
 
 
 def test_make_folds_five_images_three_questions():
@@ -397,8 +396,9 @@ def scoring():
     rng = named_stream(2, "distractors")
     entries += [KnowledgeEntry(f"d{i}", "distractor", v)
                 for i, v in enumerate(rng.standard_normal((200, 64)))]
-    params = init_model_params(manifest, fusion_mode="freq_plus_knowledge", seed=2)
     config = TrainConfig(fusion_mode="freq_plus_knowledge")
+    params = init_model_params(manifest, fusion_mode="freq_plus_knowledge", hidden1=config.hidden1,
+                               hidden2=config.hidden2, dropout=config.dropout, seed=2)
     return params, question_matrix(samples), image_matrix(samples), KnowledgeBase(entries), config
 
 
@@ -444,7 +444,7 @@ def test_retrieval_sees_at_most_32_rows_from_eval(tmp_path, monkeypatch, capsys)
     save_dataset(paths["data.jsonl"], manifest, samples)
     save_knowledge_base(paths["kb.jsonl"], entries)
     params = init_model_params(manifest, fusion_mode="freq_plus_knowledge", hidden1=16,
-                               hidden2=8, seed=5)
+                               hidden2=8, dropout=0.1, seed=5)
     save_checkpoint(paths["ckpt.json"], params, extra_meta={
         "train_config": {"fusion_mode": "freq_plus_knowledge", "hidden1": 16, "hidden2": 8}})
     rows = _count_top_k_rows(monkeypatch)
