@@ -174,10 +174,10 @@ def _check_vector(value, length: int, where: str) -> None:
 
 def _float_list(value, length: int, where: str) -> np.ndarray:
     """`length` finite numbers as a float64 array, from a JSON list or from a
-    float64 array that a JSON object_hook made of one."""
+    float64 array that a JSON object_hook decoded."""
     if isinstance(value, np.ndarray):
         if value.shape != (length,):
-            raise DataError(f"{where}: expected a list of {length} numbers")
+            raise DataError(f"{where}: expected {length} numbers, got {value.size}")
         arr = value
     else:
         _check_vector(value, length, where)

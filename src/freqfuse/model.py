@@ -7,6 +7,7 @@ The classifier input is [t_enhanced | v_enhanced] in freq_only mode or
 then a final Linear; softmax lives in the loss, not here.
 """
 
+import base64
 import json
 import math
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ from .retrieval import KnowledgeBase, retrieve_batch
 from .rng import named_stream
 
 FUSION_MODES = ("freq_only", "freq_plus_knowledge")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # the version written; version 1 (lists of JSON numbers) is still read
 
 
 @dataclass
@@ -260,7 +261,10 @@ def save_checkpoint(path: str, params: ModelParams, extra_meta: dict | None = No
         "format_version": CHECKPOINT_VERSION,
         "meta": meta,
         "params": {
-            name: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
+            name: {
+                "shape": list(t.shape),
+                "data": base64.b64encode(np.ascontiguousarray(t.data, dtype="<f8")).decode(),
+            }
             for name, t in params.named().items()
         },
     }
@@ -302,13 +306,19 @@ def _param_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
 
 
 def _tensor_hook(obj: dict) -> dict:
-    """json object_hook: the list of floats of each parsed {"shape", "data"}
-    object becomes a float64 array at once, so the Python floats of only one
-    tensor are alive at a time. Any other list stays a list for `_float_list`
-    to reject with its usual message."""
+    """json object_hook: the base64 text of each parsed {"shape", "data"}
+    object (version 2) becomes a float64 array at once, so the text and the
+    decoded bytes of only one tensor are alive at a time. Text that is not
+    base64 of whole little-endian float64 values stays text, for
+    `read_checkpoint` to reject naming the parameter; version-1 lists stay
+    lists for `_float_list`."""
     data = obj.get("data")
-    if "shape" in obj and type(data) is list and set(map(type, data)) == {float}:
-        obj["data"] = np.array(data, dtype=np.float64)
+    if "shape" in obj and type(data) is str:
+        try:
+            raw = base64.b64decode(data, validate=True)
+            obj["data"] = np.frombuffer(raw, "<f8").astype(np.float64)
+        except ValueError:  # binascii.Error, or a byte count not a multiple of 8
+            pass
     return obj
 
 
@@ -326,10 +336,10 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         raise DataError(f"checkpoint {path} is not UTF-8 text") from exc
     if not isinstance(blob, dict):
         raise DataError(f"checkpoint {path} is not a JSON object")
-    if blob.get("format_version") != CHECKPOINT_VERSION:
+    version = blob.get("format_version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise DataError(
-            f"checkpoint format {blob.get('format_version')!r} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"checkpoint format {version!r} unsupported (expected 1 or {CHECKPOINT_VERSION})"
         )
     meta = blob.get("meta")
     if not isinstance(meta, dict):
@@ -362,7 +372,12 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
         if not isinstance(entry, dict) or entry.get("shape") != list(shape):
             raise DataError(f"checkpoint param {name} does not hold shape {shape}")
         where = f"checkpoint {path} param {name}"
-        arrays[name] = _float_list(entry.get("data"), math.prod(shape), where).reshape(shape)
+        data, n = entry.get("data"), math.prod(shape)
+        if version == CHECKPOINT_VERSION and not isinstance(data, np.ndarray):
+            raise DataError(f"{where}: expected base64 text of {n} little-endian float64 values")
+        if version == 1 and isinstance(data, np.ndarray):
+            raise DataError(f"{where}: expected a list of {n} numbers")
+        arrays[name] = _float_list(data, n, where).reshape(shape)
     params = init_model_params(
         manifest,
         fusion_mode=meta["fusion_mode"],

@@ -1,3 +1,4 @@
+import base64
 import errno
 import json
 import os
@@ -420,11 +421,19 @@ def _ckpt_without_meta_key(tmp_path, synth_dir, ckpt):
     return _eval_args(synth_dir, bad)
 
 
-def _ckpt_edited(*keys, value):
-    """eval with a checkpoint whose blob[keys[0]][keys[1]]... is set to `value`."""
+def _ckpt_edited(*keys, value, version=2):
+    """eval with a checkpoint whose blob[keys[0]][keys[1]]... is set to
+    `value`; with version=1 it is first rewritten as a version-1 file, each
+    tensor's data a list of JSON numbers."""
 
     def build(tmp_path, synth_dir, ckpt):
         blob = json.loads(ckpt.read_text())
+        if version == 1:
+            from freqfuse.model import load_checkpoint
+
+            blob["format_version"] = 1
+            for name, tensor in load_checkpoint(str(ckpt)).named().items():
+                blob["params"][name]["data"] = tensor.data.reshape(-1).tolist()
         *path, last = keys
         node = blob
         for key in path:
@@ -672,8 +681,10 @@ def _out_dir_is_a_file(command):
         (_ckpt_edited("meta", "train_config", "retrieval_k", value=0), EXIT_DATA),
         (_retrieve_flags(first=True), EXIT_DATA),
         (_retrieve_flags(first="1.5"), EXIT_DATA),
-        (_ckpt_edited("params", "cls.b3", "data", 0, value="1.5"), EXIT_DATA),
-        (_ckpt_edited("params", "cls.b3", "data", 0, value=True), EXIT_DATA),
+        (_ckpt_edited("params", "cls.b3", "data", value="1.5"), EXIT_DATA),
+        (_ckpt_edited("params", "cls.b3", "data", value=True), EXIT_DATA),
+        (_ckpt_edited("params", "cls.b3", "data", 0, value="1.5", version=1), EXIT_DATA),
+        (_ckpt_edited("params", "cls.b3", "data", 0, value=True, version=1), EXIT_DATA),
         (_answer_class(True), EXIT_DATA),
         (_question_tokens([True, 5]), EXIT_DATA),
         (_ckpt_edited("meta", "train_config", "batch_size", value=True), EXIT_DATA),
@@ -747,6 +758,8 @@ def _out_dir_is_a_file(command):
         "queries-element-string",
         "ckpt-param-string",
         "ckpt-param-true",
+        "ckpt-v1-param-element-string",
+        "ckpt-v1-param-element-true",
         "dataset-answer-class-true",
         "dataset-question-tokens-true",
         "ckpt-batch-size-true",
@@ -791,6 +804,35 @@ def test_malformed_input_exits_with_one_line(build, expected, synth_dir, knowled
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("freqfuse: ")
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _b64([0.0, 0.0])[:-1] + "*",
+        _b64([0.0, 0.0]).rstrip("="),
+        _b64([0.0, 0.0, 0.0]),
+        _b64([np.nan, 0.0]),
+        _b64([0.0, -np.inf]),
+        [0.0, 0.0],
+        True,
+    ],
+    ids=["outside-alphabet", "bad-padding", "byte-count", "nan-bits", "inf-bits", "list", "true"],
+)
+def test_malformed_checkpoint_data_exits_2_naming_the_param(data, synth_dir, knowledge_ckpt,
+                                                            tmp_path, capsys):
+    """cls.b3 holds the 2 class biases as base64 of 16 float64 bytes; any
+    other data ends in one stderr line naming it, never a traceback."""
+    argv = _ckpt_edited("params", "cls.b3", "data", value=data)(tmp_path, synth_dir,
+                                                               knowledge_ckpt)
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("freqfuse: ") and "param cls.b3: " in err[0], err
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "ablate", "eval", "retrieve", "spectrum"])

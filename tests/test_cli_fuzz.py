@@ -263,8 +263,11 @@ SEMANTIC = {
     "ckpt-hidden1-negative": (_meta(hidden1=-1), EXIT_DATA),
     "ckpt-hidden2-zero": (_meta(hidden2=0), EXIT_DATA),
     "ckpt-dropout-above-one": (_meta(dropout=1.5), EXIT_DATA),
-    "ckpt-format-version": (_edited("checkpoint", lambda o: o.update(format_version=2)),
+    "ckpt-format-version": (_edited("checkpoint", lambda o: o.update(format_version=3)),
                             EXIT_DATA),
+    **{f"ckpt-format-version-{name}": (
+        _edited("checkpoint", lambda o, v=value: o.update(format_version=v)), EXIT_DATA)
+       for name, value in (("true", True), ("1.0", 1.0), ("2.0", 2.0))},
     "ckpt-tied-filters": (_edited("checkpoint", _tied_checkpoint), EXIT_DATA),
     "ckpt-before-switch-removal": (_edited("checkpoint", _checkpoint_before_switch_removal),
                                    EXIT_OK),

@@ -1,4 +1,6 @@
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from freqfuse.data import DatasetManifest, KnowledgeEntry, _float_list
 from freqfuse.errors import ConfigError, ContractError, DataError
 from freqfuse.kernel import Tensor
 from freqfuse.model import (
+    CHECKPOINT_VERSION,
     ForwardOptions,
     _param_shapes,
     classify,
@@ -209,7 +212,7 @@ def test_checkpoint_rejects_bad_blobs(tmp_path):
     with pytest.raises(DataError, match="format"):
         load_checkpoint(str(path))
 
-    blob["format_version"] = 1
+    blob["format_version"] = CHECKPOINT_VERSION
     blob["params"]["cls.w1"]["shape"] = [2, 2]
     path.write_text(json.dumps(blob))
     with pytest.raises(DataError, match="shape"):
@@ -253,7 +256,20 @@ def test_param_shapes_match_the_built_model(manifest, mode):
     ]
 
 
-def test_hook_parsed_checkpoint_is_bit_identical_to_a_whole_parse(tmp_path):
+def save_v1_checkpoint(path, params):
+    """A version-1 checkpoint of `params`: each tensor's data is a flat list
+    of JSON numbers, as save_checkpoint wrote before version 2."""
+    save_checkpoint(str(path), params)
+    blob = json.loads(path.read_text())
+    blob["format_version"] = 1
+    for name, tensor in params.named().items():
+        blob["params"][name]["data"] = tensor.data.reshape(-1).tolist()
+    path.write_text(json.dumps(blob, allow_nan=False))
+
+
+def test_checkpoint_bytes_are_exact_in_both_versions(tmp_path):
+    """Subnormals, -0.0, the extremes and values at 10^+-300 load bit for bit
+    from a version-2 file and from a version-1 file of the same parameters."""
     params = init_model_params(VIT, fusion_mode="freq_plus_knowledge", hidden1=16, hidden2=8,
                                dropout=0.1, seed=4)
     rng = named_stream(4, "test-ckpt-bits")
@@ -263,13 +279,14 @@ def test_hook_parsed_checkpoint_is_bit_identical_to_a_whole_parse(tmp_path):
         tensor.data = rng.standard_normal(tensor.shape) * 10.0 ** rng.integers(-300, 300,
                                                                               tensor.shape)
         tensor.data.reshape(-1)[: len(specials)] = specials[: tensor.size]
-    path = tmp_path / "model.ckpt.json"
-    save_checkpoint(str(path), params)
-    whole = json.loads(path.read_text())["params"]  # every tensor's floats at once
-    for name, tensor in load_checkpoint(str(path)).named().items():
-        want = np.array(whole[name]["data"], dtype=np.float64).reshape(tensor.shape)
-        assert tensor.data.tobytes() == want.tobytes(), name
-        assert tensor.data.tobytes() == params.named()[name].data.tobytes(), name
+    v2, v1 = tmp_path / "v2.ckpt.json", tmp_path / "v1.ckpt.json"
+    save_checkpoint(str(v2), params)
+    save_v1_checkpoint(v1, params)
+    assert json.loads(v2.read_text())["format_version"] == 2
+    for path in (v2, v1):
+        for name, tensor in load_checkpoint(str(path)).named().items():
+            assert tensor.data.tobytes() == params.named()[name].data.tobytes(), (path, name)
+            assert tensor.data.flags.writeable, (path, name)
 
 
 _SEVEN = ", 0.0" * 7
@@ -295,10 +312,10 @@ _SEVEN = ", 0.0" * 7
     ],
 )
 def test_hook_parsed_checkpoint_keeps_data_errors(tmp_path, data):
-    """A stored tensor's data (cls.b2 holds 8 numbers) loads, or fails with
-    `_float_list`'s message, as the list parsed without the hook does."""
+    """A version-1 tensor's data (cls.b2 holds 8 numbers) loads, or fails
+    with `_float_list`'s message, as the list parsed without the hook does."""
     path = tmp_path / "model.ckpt.json"
-    save_checkpoint(str(path), tiny_params())
+    save_v1_checkpoint(path, tiny_params())
     blob = json.loads(path.read_text())
     blob["params"]["cls.b2"]["data"] = "DATA"
     path.write_text(json.dumps(blob).replace('"DATA"', data))
@@ -311,6 +328,85 @@ def test_hook_parsed_checkpoint_keeps_data_errors(tmp_path, data):
         assert str(got.value) == str(exc)
     else:
         assert np.array_equal(load_checkpoint(str(path)).cls.b2.data, want)
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+_EIGHT = _b64(np.arange(8.0))
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_EIGHT, None),
+        (_EIGHT[:10] + "*" + _EIGHT[11:], "expected base64 text"),  # outside the alphabet
+        (_EIGHT[:-2] + " " + _EIGHT[-2:], "expected base64 text"),  # space
+        ("é" + _EIGHT[1:], "expected base64 text"),  # not ASCII
+        (_EIGHT.rstrip("="), "expected base64 text"),  # padding cut off
+        (_EIGHT + "=", "expected base64 text"),  # one "=" too many
+        (base64.b64encode(bytes(61)).decode("ascii"), "expected base64 text"),  # 61 bytes
+        (_b64(np.zeros(7)), "expected 8 numbers, got 7"),
+        (_b64(np.zeros(9)), "expected 8 numbers, got 9"),
+        ("", "expected 8 numbers, got 0"),
+        (_b64([np.nan] + [0.0] * 7), "expected 8 finite numbers"),
+        (_b64([0.0] * 7 + [np.inf]), "expected 8 finite numbers"),
+        (_b64([-np.inf] + [0.0] * 7), "expected 8 finite numbers"),
+        ([0.0] * 8, "expected base64 text"),  # a version-1 list in a version-2 file
+        (True, "expected base64 text"),
+        (None, "expected base64 text"),
+        ({"shape": [8], "data": _EIGHT}, "expected base64 text"),
+    ],
+    ids=["valid", "star", "space", "non-ascii", "no-padding", "extra-padding", "61-bytes",
+         "7-values", "9-values", "empty", "nan", "inf", "minus-inf", "list", "true", "null",
+         "object"],
+)
+def test_version_2_data_errors_name_the_parameter(tmp_path, data, message):
+    """cls.b2 (8 values) as base64 of little-endian float64 bytes loads;
+    anything else is one DataError naming the parameter."""
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(str(path), tiny_params())
+    blob = json.loads(path.read_text())
+    blob["params"]["cls.b2"]["data"] = data
+    path.write_text(json.dumps(blob))
+    if message is None:
+        assert np.array_equal(load_checkpoint(str(path)).cls.b2.data, np.arange(8.0))
+        return
+    with pytest.raises(DataError, match=f"param cls.b2: {message}"):
+        load_checkpoint(str(path))
+
+
+def test_version_1_file_with_base64_data_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(str(path), tiny_params())
+    blob = json.loads(path.read_text())
+    blob["format_version"] = 1
+    path.write_text(json.dumps(blob))
+    with pytest.raises(DataError, match="param proj.w_t: expected a list of 2400 numbers"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_load_memory_stays_near_the_parameters(tmp_path):
+    """One load of a 483,660-parameter (3.7 MiB) checkpoint, the size perfbench's
+    eval_large_kb loads, peaks under 16 MiB of traced allocations: the 4.9 MiB
+    of file text, the 3.7 MiB of arrays kept, and one tensor's base64 text,
+    bytes and array (2 MiB of float64 for cls.w2). Measured at 13.9 MiB;
+    parsing a list of JSON numbers per tensor peaked at 22.0 MiB."""
+    manifest = DatasetManifest(n_classes=4, d_model=64, feature_layout="precomputed")
+    params = init_model_params(manifest, fusion_mode="freq_plus_knowledge", hidden1=1024,
+                               hidden2=256, dropout=0.1, seed=0)
+    assert sum(t.size for t in params.named().values()) == 483_660
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(str(path), params)
+    del params
+    tracemalloc.start()
+    try:
+        load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"load_checkpoint peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_checkpoint_dimensions_beyond_memory_fail_before_allocating(tmp_path, monkeypatch):

@@ -20,7 +20,11 @@
 # also names the dotted key paths found on one side only and those whose
 # values differ (list items by index), e.g.
 #   differs: train/summary.json: only in PARENT: config.retrieval
-# or says that keys and values match and only the bytes differ.
+# or says that keys and values match and only the bytes differ. A checkpoint
+# (*.ckpt.json) is loaded instead by each tree's own load_checkpoint, so a
+# change of file format alone reads "same parameters and meta"; otherwise the
+# script names each tensor whose loaded bytes, dtype or shape differ, e.g.
+#   differs: train/fold0.ckpt.json: tensors differ: cls.b3
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -146,12 +150,56 @@ print(": " + "; ".join(parts or ["same keys and values, bytes differ"]), end="")
 PY
 }
 
+# ckpt_tensors SRC FILE: the checkpoint as SRC's load_checkpoint reads it, one
+# "name dtype shape sha256" line per tensor, then its meta as sorted JSON
+ckpt_tensors() {
+    PYTHONPATH="$1" python3 - "$2" <<'PY'
+import hashlib
+import json
+import sys
+
+from freqfuse.model import load_checkpoint
+
+for name, tensor in load_checkpoint(sys.argv[1]).named().items():
+    data = tensor.data
+    print(name, data.dtype, data.shape, hashlib.sha256(data.tobytes()).hexdigest())
+with open(sys.argv[1], encoding="utf-8") as fh:
+    print("meta", json.dumps(json.load(fh)["meta"], sort_keys=True))
+PY
+}
+
+# ckpt_diff PARENT_FILE CHANGE_FILE: the tensors, or the meta, that tell two
+# checkpoints apart, each loaded by its own tree
+ckpt_diff() {
+    local parent change
+    parent=$(ckpt_tensors "$parent_src" "$1" 2>/dev/null) || parent="error PARENT cannot load it"
+    change=$(ckpt_tensors "$change_src" "$2" 2>/dev/null) || change="error CHANGE cannot load it"
+    python3 - "$parent" "$change" <<'PY'
+import sys
+
+sides = [dict(line.split(" ", 1) for line in text.splitlines()) for text in sys.argv[1:]]
+errors = [side["error"] for side in sides if "error" in side]
+if errors:
+    print(": " + "; ".join(errors), end="")
+    sys.exit()
+parent, change = sides
+differ = [name for name in {**parent, **change} if parent.get(name) != change.get(name)]
+tensors = [name for name in differ if name != "meta"]
+parts = [f"tensors differ: {', '.join(tensors)}"] if tensors else []
+if "meta" in differ:
+    parts.append("meta differs")
+print(": " + "; ".join(parts or ["same parameters and meta"]), end="")
+PY
+}
+
 for rel in $files; do
     if ! cmp -s "$work/parent/$rel" "$work/change/$rel"; then
         if [ ! -f "$work/change/$rel" ]; then
             detail=": file only in PARENT"
         elif [ ! -f "$work/parent/$rel" ]; then
             detail=": file only in CHANGE"
+        elif [[ $rel == *.ckpt.json ]]; then
+            detail=$(ckpt_diff "$work/parent/$rel" "$work/change/$rel")
         elif [[ $rel == *.json ]]; then
             detail=$(json_diff "$work/parent/$rel" "$work/change/$rel")
         else
