@@ -32,6 +32,7 @@ from .model import read_checkpoint, save_checkpoint
 from .retrieval import (
     SIMILARITIES,
     SOFTMAX_TAU,
+    TOP_K,
     KnowledgeBase,
     _check_options,
     _top_k,
@@ -150,7 +151,7 @@ def build_parser() -> _Parser:
     _add_common(p_ret)
     p_ret.add_argument("--kb", default=None)
     p_ret.add_argument("--queries", required=True, help="JSONL file, one vector per line")
-    p_ret.add_argument("--k", type=int, default=3)
+    p_ret.add_argument("--k", type=int, default=TOP_K)
     p_ret.add_argument("--tau", type=float, default=SOFTMAX_TAU)
     p_ret.add_argument("--similarity", choices=SIMILARITIES, default="fidelity")
 
@@ -375,7 +376,9 @@ def cmd_retrieve(args, file_values) -> int:
         vec = data_mod._float_list(value, kb.d_model, where)
         try:
             _unit_queries(vec[None, :], kb.d_model)
-        except (ContractError, DegenerateInputError) as exc:  # its norm overflows or is zero
+        except ContractError as exc:  # width, NaN and Inf were rejected above
+            raise DataError(f"{where}: query norm overflows float64") from exc
+        except DegenerateInputError as exc:  # its norm is zero
             raise DataError(f"{where}: {exc}") from exc
         vectors.append(vec)
     outputs = []

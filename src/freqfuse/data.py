@@ -513,21 +513,20 @@ def save_knowledge_base(path: str, entries: list[KnowledgeEntry]) -> None:
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
-_TOKEN_VECTORS: dict[tuple[int, int], np.ndarray] = {}
+_TOKEN_VECTORS: dict[int, np.ndarray] = {}
 
 
-def _token_vector(token: int, dim: int) -> np.ndarray:
-    key = (token, dim)
-    cached = _TOKEN_VECTORS.get(key)
+def _token_vector(token: int) -> np.ndarray:
+    cached = _TOKEN_VECTORS.get(token)
     if cached is None:
         tag = zlib.crc32(f"token-{token}".encode())
-        rng = np.random.default_rng([tag, dim])
-        cached = rng.standard_normal(dim) / np.sqrt(dim)
-        _TOKEN_VECTORS[key] = cached
+        rng = np.random.default_rng([tag, TEXT_DIM])
+        cached = rng.standard_normal(TEXT_DIM) / np.sqrt(TEXT_DIM)
+        _TOKEN_VECTORS[token] = cached
     return cached
 
 
-def embed_text_stub(tokens: list[int], dim: int = TEXT_DIM) -> np.ndarray:
+def embed_text_stub(tokens: list[int]) -> np.ndarray:
     """Deterministic bag-of-tokens embedding: mean of fixed per-token vectors.
 
     Padding (token 0) is skipped; an all-padding question embeds to zero.
@@ -535,8 +534,8 @@ def embed_text_stub(tokens: list[int], dim: int = TEXT_DIM) -> np.ndarray:
     live = [t for t in tokens if t != PAD_TOKEN]
     if not live:
         warnings.warn("question contains only padding tokens; embedding is zero", stacklevel=2)
-        return np.zeros(dim)
-    return np.mean([_token_vector(t, dim) for t in live], axis=0)
+        return np.zeros(TEXT_DIM)
+    return np.mean([_token_vector(t) for t in live], axis=0)
 
 
 def question_matrix(samples: list[Sample]) -> np.ndarray:

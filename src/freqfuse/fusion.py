@@ -43,27 +43,21 @@ class FusionParams:
     def d_model(self) -> int:
         return self.w_filter_text.shape[1]
 
-    def named(self, prefix: str = "fusion") -> dict[str, Tensor]:
+    def named(self) -> dict[str, Tensor]:
         # this order fixes the flat parameter layout and the checkpoint's
         return {
-            f"{prefix}.w_filter_text": self.w_filter_text,
-            f"{prefix}.b_filter_text": self.b_filter_text,
-            f"{prefix}.w_gate_text": self.w_gate_text,
-            f"{prefix}.b_gate_text": self.b_gate_text,
-            f"{prefix}.w_gate_image": self.w_gate_image,
-            f"{prefix}.b_gate_image": self.b_gate_image,
-            f"{prefix}.w_filter_image": self.w_filter_image,
-            f"{prefix}.b_filter_image": self.b_filter_image,
+            "fusion.w_filter_text": self.w_filter_text,
+            "fusion.b_filter_text": self.b_filter_text,
+            "fusion.w_gate_text": self.w_gate_text,
+            "fusion.b_gate_text": self.b_gate_text,
+            "fusion.w_gate_image": self.w_gate_image,
+            "fusion.b_gate_image": self.b_gate_image,
+            "fusion.w_filter_image": self.w_filter_image,
+            "fusion.b_filter_image": self.b_filter_image,
         }
 
 
-def init_fusion_params(
-    d_model: int,
-    k: int = K_FILTERS,
-    rng: np.random.Generator | None = None,
-) -> FusionParams:
-    if rng is None:
-        rng = np.random.default_rng(0)
+def init_fusion_params(d_model: int, k: int, rng: np.random.Generator) -> FusionParams:
     scale = 1.0 / np.sqrt(d_model)
     # small gate weights keep gates near 0.5 at the start of training
     return FusionParams(
@@ -90,18 +84,6 @@ class SpectralFeatures:
     v_enhanced: Tensor
 
 
-def spectral_transform(
-    t: Tensor, v: Tensor, tape: GradTape | None = None
-) -> tuple[Tensor, Tensor]:
-    """Magnitude spectrum of each modality, differentiable."""
-    return dft_magnitude(t, tape), dft_magnitude(v, tape)
-
-
-def filter_compress(m_freq: Tensor, w: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Compress a d_model spectrum to K scalar summaries: f_k = w_k . m + b_k."""
-    return ops.linear(m_freq, w, b, tape)
-
-
 def co_select(
     t_freq: Tensor,
     v_freq: Tensor,
@@ -116,8 +98,8 @@ def co_select(
     With cross_modal=False each gate is driven by its own modality instead,
     which is the co-selection ablation.
     """
-    t_driver = ops.mean_pool(t_comp, axis=-1, keepdims=True, tape=tape)
-    v_driver = ops.mean_pool(v_comp, axis=-1, keepdims=True, tape=tape)
+    t_driver = ops.mean_pool(t_comp, keepdims=True, tape=tape)
+    v_driver = ops.mean_pool(v_comp, keepdims=True, tape=tape)
     gate_t_in = v_driver if cross_modal else t_driver
     gate_v_in = t_driver if cross_modal else v_driver
     g_text = ops.sigmoid(ops.linear(gate_t_in, params.w_gate_text, params.b_gate_text, tape), tape)
@@ -133,7 +115,9 @@ def spectral_stage(
     frequency: bool = True,
     co_selection: bool = True,
 ) -> SpectralFeatures:
-    """Full fusion stage. With frequency=False it is the identity on (t, v)."""
+    """Full fusion stage on batches (B, d_model). Each filter bank compresses a
+    spectrum to K scalar summaries, f_k = w_k . m + b_k. With frequency=False
+    the stage is the identity on (t, v)."""
     if not frequency:
         return SpectralFeatures(
             t_freq=None,
@@ -143,9 +127,9 @@ def spectral_stage(
             t_enhanced=t,
             v_enhanced=v,
         )
-    t_freq, v_freq = spectral_transform(t, v, tape)
-    t_comp = filter_compress(t_freq, params.w_filter_text, params.b_filter_text, tape)
-    v_comp = filter_compress(v_freq, params.w_filter_image, params.b_filter_image, tape)
+    t_freq, v_freq = dft_magnitude(t, tape), dft_magnitude(v, tape)
+    t_comp = ops.linear(t_freq, params.w_filter_text, params.b_filter_text, tape)
+    v_comp = ops.linear(v_freq, params.w_filter_image, params.b_filter_image, tape)
     t_enh, v_enh = co_select(t_freq, v_freq, t_comp, v_comp, params, tape, cross_modal=co_selection)
     return SpectralFeatures(
         t_freq=t_freq,

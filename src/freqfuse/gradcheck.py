@@ -1,7 +1,7 @@
 """Central finite-difference verification of every differentiable operation.
 
 Each suite builds a scalar loss from named leaf tensors, runs the tape
-backward, then re-evaluates the forward twice per coordinate at +-h. The
+backward, then re-evaluates the forward twice per coordinate at +-STEP. The
 reported figure is the vector relative error ||analytic - numeric|| /
 max(||analytic||, ||numeric||, 1e-6) per leaf, worst leaf reported.
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import DatasetManifest
 from .errors import DimensionError
-from .fusion import co_select, filter_compress, init_fusion_params, spectral_stage
+from .fusion import co_select, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor, dft_magnitude
 from .kernel import ops
 from .losses import cross_entropy, info_nce, total_loss, augment
@@ -32,11 +32,10 @@ STEP = 1e-4
 
 
 def finite_difference_check(
-    build: Callable[[GradTape | None], Tensor],
-    leaves: dict[str, Tensor],
-    h: float = STEP,
+    build: Callable[[GradTape | None], Tensor], leaves: dict[str, Tensor]
 ) -> float:
-    """Worst relative error over the given leaves; build must return a scalar."""
+    """Worst relative error over the given leaves, central differences of step
+    STEP; build must return a scalar."""
     tape = GradTape()
     for t in leaves.values():
         t.zero_grad()
@@ -52,12 +51,12 @@ def finite_difference_check(
         nflat = numeric.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + STEP
             f_plus = float(build(None).data)
-            flat[i] = orig - h
+            flat[i] = orig - STEP
             f_minus = float(build(None).data)
             flat[i] = orig
-            nflat[i] = (f_plus - f_minus) / (2.0 * h)
+            nflat[i] = (f_plus - f_minus) / (2.0 * STEP)
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-6)
         worst = max(worst, float(np.linalg.norm(analytic - numeric) / denom))
     return worst
@@ -65,13 +64,13 @@ def finite_difference_check(
 
 def _scalar(x: Tensor, tape: GradTape | None) -> Tensor:
     while x.data.ndim > 0:
-        x = ops.mean_pool(x, axis=-1, tape=tape)
+        x = ops.mean_pool(x, tape=tape)
     return x
 
 
 def _weighted_scalar(x: Tensor, rng: np.random.Generator, tape: GradTape | None) -> Tensor:
-    # random fixed weights stop symmetric outputs (softmax rows) from
-    # collapsing to a constant under plain averaging
+    # random fixed weights stop outputs whose mean is pinned (layernorm rows
+    # at unit gain) from collapsing to a constant under plain averaging
     w = Tensor(rng.standard_normal(x.data.shape))
     return _scalar(ops.mul(x, w, tape), tape)
 
@@ -97,28 +96,13 @@ def _single_op_suite(
 
 # name, stream, leaves in draw order, op
 _SINGLE_OPS = (
-    ("linear_vector", "gc-vec", (("w", (3, 4)), ("x", (4,)), ("b", (3,))), ops.linear),
     ("projection", "gc-proj", (("x", (3, 6)), ("w", (4, 6)), ("b", (4,))), ops.linear),
     ("matmul_nt", "gc-mm", (("a", (3, 5)), ("b", (4, 5))), ops.matmul_nt),
     ("dft_magnitude", "gc-dft", (("x", (3, 8)),), dft_magnitude),
     ("gelu", "gc-gelu", (("x", (3, 8)),), ops.gelu),
     ("sigmoid", "gc-sig", (("x", (3, 8)),), ops.sigmoid),
-    ("softmax", "gc-soft", (("x", (3, 6)),), ops.softmax),
 )
 _SINGLE = {name: _single_op_suite(stream, leaves, op) for name, stream, leaves, op in _SINGLE_OPS}
-
-
-def _suite_filter_bank(seed: int) -> float:
-    rng = named_stream(seed, "gc-filter")
-    spectrum = Tensor(np.abs(rng.standard_normal((3, 8))) + 0.1)
-    w = Tensor(rng.standard_normal((4, 8)))
-    b = Tensor(rng.standard_normal(4))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(
-            filter_compress(spectrum, w, b, tape), named_stream(seed, "gc-filter-w"), tape
-        ),
-        {"spectrum": spectrum, "w": w, "b": b},
-    )
 
 
 def _suite_gates(seed: int) -> float:
@@ -128,8 +112,8 @@ def _suite_gates(seed: int) -> float:
     v_freq = Tensor(np.abs(rng.standard_normal((3, 8))) + 0.1)
 
     def build(tape):
-        t_comp = filter_compress(t_freq, params.w_filter_text, params.b_filter_text, tape)
-        v_comp = filter_compress(v_freq, params.w_filter_image, params.b_filter_image, tape)
+        t_comp = ops.linear(t_freq, params.w_filter_text, params.b_filter_text, tape)
+        v_comp = ops.linear(v_freq, params.w_filter_image, params.b_filter_image, tape)
         t_enh, v_enh = co_select(t_freq, v_freq, t_comp, v_comp, params, tape)
         return _weighted_scalar(ops.concat([t_enh, v_enh], tape), named_stream(seed, "gc-gates-w"), tape)
 
@@ -253,7 +237,7 @@ def _suite_full_pipeline(seed: int) -> float:
         )
         ce = cross_entropy(fwd.logits, labels, tape)
         aug_rng = named_stream(seed, "gc-pipe-aug")
-        t_aug = augment(fwd.t, 0.1, aug_rng, tape)
+        t_aug = augment(fwd.t, aug_rng, tape)
         intra_t = info_nce(fwd.t, t_aug, 0.07, tape)
         intra_v = Tensor(0.0)
         cross = info_nce(fwd.t, fwd.v, 0.05, tape)
@@ -286,17 +270,14 @@ class SuiteResult:
 
 
 ALL_SUITES: list[tuple[str, Callable[[int], float]]] = [
-    ("linear_vector", _SINGLE["linear_vector"]),
     ("projection", _SINGLE["projection"]),
     ("matmul_nt", _SINGLE["matmul_nt"]),
     ("dft_magnitude", _SINGLE["dft_magnitude"]),
-    ("filter_bank", _suite_filter_bank),
     ("co_select_gates", _suite_gates),
     ("fusion_stage", _suite_fusion_stage),
     ("layernorm", _suite_layernorm),
     ("gelu", _SINGLE["gelu"]),
     ("sigmoid", _SINGLE["sigmoid"]),
-    ("softmax", _SINGLE["softmax"]),
     ("dropout", _suite_dropout),
     ("norm_pool_arith", _suite_mean_mul_norms),
     ("mlp_classifier", _suite_mlp_classifier),

@@ -30,17 +30,15 @@ def dft_magnitude_raw(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(spectrum), spectrum
 
 
-def dft_magnitude_backward(
-    spectrum: np.ndarray, grad_out: np.ndarray, eps: float = MAG_EPS
-) -> np.ndarray:
+def dft_magnitude_backward(spectrum: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Adjoint of the magnitude spectrum w.r.t. the real input.
 
-    d|X[k]|/dx[n] = Re(conj(X[k]) exp(-2i pi k n / d)) / max(|X[k]|, eps),
+    d|X[k]|/dx[n] = Re(conj(X[k]) exp(-2i pi k n / d)) / max(|X[k]|, MAG_EPS),
     so the full adjoint is one more forward transform:
-    grad = Re(DFT(grad_out * conj(X) / max(|X|, eps))).
+    grad = Re(DFT(grad_out * conj(X) / max(|X|, MAG_EPS))).
     """
     mag = np.abs(spectrum)
-    weighted = grad_out * np.conj(spectrum) / np.maximum(mag, eps)
+    weighted = grad_out * np.conj(spectrum) / np.maximum(mag, MAG_EPS)
     return np.real(dft(weighted))
 
 

@@ -2,9 +2,10 @@
 
 Every op checks its shapes, computes its forward value, defines
 `backward(g)`, which accumulates the adjoints of output gradient g into its
-inputs' .grad slots, and returns `_op_output(value, tape, backward)`. Ops accept a
-single vector (d,) or a batch (B, d); reductions and normalizations act on
-the last axis.
+inputs' .grad slots, and returns `_op_output(value, tape, backward)`. `linear`
+and `layernorm` take a batch of rows (B, d) only; reductions and
+normalizations act on the last axis. `softmax` is a plain numpy helper, off the
+tape: nothing differentiates it.
 """
 
 import numpy as np
@@ -14,32 +15,24 @@ from .tensor import GradTape, Tensor, _op_output
 
 _GELU_C = 0.7978845608028654  # sqrt(2/pi), tanh-form gelu
 _GELU_A = 0.044715
-
-
-def _as2d(arr: np.ndarray):
-    """View (d,) as (1, d); returns (view, was_vector)."""
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise DimensionError(f"expected vector or batch, got shape {arr.shape}")
+LAYERNORM_EPS = 1e-5
+# a row norm at or below this is zero: rownorm rejects it, and the adjoint of
+# row_norms divides by it instead
+NORM_TINY = 1e-12
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Affine map W (m, n) @ x + b (m,) of a vector (n,) or of each row of a batch (B, n)."""
-    xd, was_vec = _as2d(x.data)
-    if w.data.ndim != 2 or xd.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+    """Affine map W (m, n) @ x + b (m,) of each row of a batch (B, n)."""
+    xd = x.data
+    if xd.ndim != 2 or w.data.ndim != 2 or xd.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
         raise DimensionError(f"linear shapes do not conform: x {x.shape}, W {w.shape}, b {b.shape}")
-    y = xd @ w.data.T + b.data
 
     def backward(g):
-        g2 = g[None, :] if was_vec else g
-        w.accumulate_grad(g2.T @ xd)
-        b.accumulate_grad(g2.sum(axis=0))
-        gx = g2 @ w.data
-        x.accumulate_grad(gx[0] if was_vec else gx)
+        w.accumulate_grad(g.T @ xd)
+        b.accumulate_grad(g.sum(axis=0))
+        x.accumulate_grad(g @ w.data)
 
-    return _op_output(y[0] if was_vec else y, tape, backward)
+    return _op_output(xd @ w.data.T + b.data, tape, backward)
 
 
 def matmul_nt(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
@@ -66,21 +59,15 @@ def add(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Elementwise product; one operand may be (..., 1) broadcast over the last axis."""
+    """Elementwise product; b may be (..., 1), broadcast over a's last axis."""
     bcast_b = b.data.shape == a.data.shape[:-1] + (1,)
-    bcast_a = a.data.shape == b.data.shape[:-1] + (1,)
-    if not (a.shape == b.shape or bcast_a or bcast_b):
+    if not (a.shape == b.shape or bcast_b):
         raise DimensionError(f"mul shapes do not conform: {a.shape}, {b.shape}")
 
     def backward(g):
-        ga = g * b.data
         gb = g * a.data
-        if bcast_a:
-            ga = ga.sum(axis=-1, keepdims=True)
-        if bcast_b:
-            gb = gb.sum(axis=-1, keepdims=True)
-        a.accumulate_grad(ga)
-        b.accumulate_grad(gb)
+        a.accumulate_grad(g * b.data)
+        b.accumulate_grad(gb.sum(axis=-1, keepdims=True) if bcast_b else gb)
 
     return _op_output(a.data * b.data, tape, backward)
 
@@ -136,37 +123,28 @@ def gelu(x: Tensor, tape: GradTape | None = None) -> Tensor:
     return _op_output(0.5 * xd * (1.0 + th), tape, backward)
 
 
-def softmax(x: Tensor, tape: GradTape | None = None) -> Tensor:
+def softmax(x: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis, max-subtracted for stability."""
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def layernorm(x: Tensor, gain: Tensor, shift: Tensor, tape: GradTape | None = None) -> Tensor:
+    """Normalize each row of a batch (B, d) to zero mean / unit variance, then
+    gain * xhat + shift."""
     xd = x.data
-    z = np.exp(xd - xd.max(axis=-1, keepdims=True))
-    s = z / z.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        x.accumulate_grad(s * (g - dot))
-
-    return _op_output(s, tape, backward)
-
-
-def layernorm(
-    x: Tensor, gain: Tensor, shift: Tensor, tape: GradTape | None = None, eps: float = 1e-5
-) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then gain * xhat + shift."""
-    d = x.data.shape[-1]
-    if gain.shape != (d,) or shift.shape != (d,):
-        raise DimensionError(f"layernorm gain/shift must have shape ({d},)")
-    xd = x.data
+    d = xd.shape[-1]
+    if xd.ndim != 2 or gain.shape != (d,) or shift.shape != (d,):
+        raise DimensionError(f"layernorm takes x (B, d) and gain, shift (d,), got {x.shape}, "
+                             f"{gain.shape}, {shift.shape}")
     mu = xd.mean(axis=-1, keepdims=True)
     var = xd.var(axis=-1, keepdims=True)
-    ih = 1.0 / np.sqrt(var + eps)
+    ih = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (xd - mu) * ih
 
     def backward(g):
-        g2, _ = _as2d(g)
-        xh2, _ = _as2d(xhat)
-        gain.accumulate_grad((g2 * xh2).sum(axis=0))
-        shift.accumulate_grad(g2.sum(axis=0))
+        gain.accumulate_grad((g * xhat).sum(axis=0))
+        shift.accumulate_grad(g.sum(axis=0))
         dxh = g * gain.data
         m1 = dxh.mean(axis=-1, keepdims=True)
         m2 = (dxh * xhat).mean(axis=-1, keepdims=True)
@@ -197,31 +175,31 @@ def dropout(
     return _op_output(x.data * mask, tape, backward)
 
 
-def mean_pool(x: Tensor, axis: int = -1, keepdims: bool = False, tape: GradTape | None = None) -> Tensor:
-    """Arithmetic mean along one axis."""
-    n = x.data.shape[axis]
+def mean_pool(x: Tensor, keepdims: bool = False, tape: GradTape | None = None) -> Tensor:
+    """Arithmetic mean along the last axis."""
+    n = x.data.shape[-1]
 
     def backward(g):
-        ge = g if keepdims else np.expand_dims(g, axis)
+        ge = g if keepdims else np.expand_dims(g, -1)
         x.accumulate_grad(np.broadcast_to(ge, x.data.shape) / n)
 
-    return _op_output(x.data.mean(axis=axis, keepdims=keepdims), tape, backward)
+    return _op_output(x.data.mean(axis=-1, keepdims=keepdims), tape, backward)
 
 
-def row_norms(x: Tensor, tape: GradTape | None = None, tiny: float = 1e-12) -> Tensor:
+def row_norms(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """L2 norm of each row, shape (..., 1)."""
     n = np.sqrt((x.data**2).sum(axis=-1, keepdims=True))
 
     def backward(g):
-        x.accumulate_grad(g * x.data / np.maximum(n, tiny))
+        x.accumulate_grad(g * x.data / np.maximum(n, NORM_TINY))
 
     return _op_output(n, tape, backward)
 
 
-def rownorm(x: Tensor, tape: GradTape | None = None, tiny: float = 1e-12) -> Tensor:
+def rownorm(x: Tensor, tape: GradTape | None = None) -> Tensor:
     """Scale each row to unit L2 norm; zero rows are a degenerate input."""
     n = np.sqrt((x.data**2).sum(axis=-1, keepdims=True))
-    if np.any(n <= tiny):
+    if np.any(n <= NORM_TINY):
         raise DegenerateInputError("cannot normalize a (near-)zero row")
     xhat = x.data / n
 

@@ -81,11 +81,10 @@ def info_nce(x: Tensor, y: Tensor, tau: float, tape: GradTape | None = None) -> 
     return cross_entropy(logits, np.arange(b), tape)
 
 
-def augment(x: Tensor, sigma: float, rng: np.random.Generator, tape: GradTape | None = None) -> Tensor:
-    """Gaussian perturbation with each row rescaled back to its original norm."""
-    if sigma == 0.0:
-        return x
-    noise = Tensor(sigma * rng.standard_normal(x.data.shape))
+def augment(x: Tensor, rng: np.random.Generator, tape: GradTape | None = None) -> Tensor:
+    """Gaussian perturbation of scale AUG_SIGMA with each row rescaled back to
+    its original norm."""
+    noise = Tensor(AUG_SIGMA * rng.standard_normal(x.data.shape))
     perturbed = ops.add(x, noise, tape)
     return ops.mul(ops.rownorm(perturbed, tape), ops.row_norms(x, tape), tape)
 

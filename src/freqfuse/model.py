@@ -19,7 +19,7 @@ from .errors import ConfigError, ContractError, DataError
 from .fusion import K_FILTERS, FusionParams, SpectralFeatures, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor
 from .kernel import ops
-from .retrieval import KnowledgeBase, retrieve_batch
+from .retrieval import TOP_K, KnowledgeBase, retrieve_batch
 from .rng import named_stream
 
 FUSION_MODES = ("freq_only", "freq_plus_knowledge")
@@ -48,10 +48,8 @@ class ClassifierParams:
     def n_classes(self) -> int:
         return self.w3.shape[0]
 
-    def named(self, prefix: str = "cls") -> dict[str, Tensor]:
-        return {
-            f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self) if f.type is Tensor
-        }
+    def named(self) -> dict[str, Tensor]:
+        return {f"cls.{f.name}": getattr(self, f.name) for f in fields(self) if f.type is Tensor}
 
 
 @dataclass
@@ -93,10 +91,8 @@ def init_classifier_params(
     hidden1: int,
     hidden2: int,
     dropout: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ClassifierParams:
-    if rng is None:
-        rng = np.random.default_rng(0)
     return ClassifierParams(
         w1=Tensor(rng.standard_normal((hidden1, in_dim)) / np.sqrt(in_dim)),
         b1=Tensor(np.zeros(hidden1)),
@@ -157,13 +153,6 @@ def init_model_params(
     )
 
 
-def fuse(t_enh: Tensor, v_enh: Tensor, k_agg: Tensor | None,
-         tape: GradTape | None = None) -> Tensor:
-    """[t_enh | v_enh], followed by k_agg when retrieval produced one."""
-    segments = [t_enh, v_enh] if k_agg is None else [t_enh, v_enh, k_agg]
-    return ops.concat(segments, tape)
-
-
 def classify(
     z: Tensor,
     params: ClassifierParams,
@@ -190,7 +179,7 @@ class ForwardOptions:
     frequency: bool = True
     co_selection: bool = True
     similarity: str = "fidelity"
-    retrieval_k: int = 3
+    retrieval_k: int = TOP_K
 
 
 @dataclass
@@ -232,14 +221,15 @@ def forward_batch(
     features = spectral_stage(
         t, v, params.fusion, tape, frequency=options.frequency, co_selection=options.co_selection
     )
+    segments = [features.t_enhanced, features.v_enhanced]
     k_agg = None
     if params.fusion_mode == "freq_plus_knowledge":
         if kb is None:
             raise ConfigError("freq_plus_knowledge requires a knowledge base")
         queries = 0.5 * (features.t_enhanced.data + features.v_enhanced.data)
         k_agg = retrieve_batch(queries, kb, k=options.retrieval_k, similarity=options.similarity)
-    k_tensor = Tensor(k_agg) if k_agg is not None else None
-    z = fuse(features.t_enhanced, features.v_enhanced, k_tensor, tape)
+        segments.append(Tensor(k_agg))
+    z = ops.concat(segments, tape)
     logits = classify(z, params.cls, train=train, rng=rng, tape=tape)
     return ForwardResult(t=t, v=v, features=features, k_agg=k_agg, logits=logits)
 

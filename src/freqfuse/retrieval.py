@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import KnowledgeColumns, KnowledgeEntry
 from .errors import ConfigError, ContractError, DataError, DegenerateInputError, RetrievalError
-from .kernel import Tensor, ops, psd_sqrt
+from .kernel import ops, psd_sqrt
 from .kernel.eig import SYMMETRY_TOL
 
 TOP_K = 3
@@ -304,7 +304,7 @@ def _top_k(
         starts = np.searchsorted(rows[ranked], np.arange(b))
         pick = ranked[starts[:, None] + np.arange(k)]
         order, top = cols[pick], scores[pick]
-    return order, top, ops.softmax(Tensor(top / tau)).data
+    return order, top, ops.softmax(top / tau)
 
 
 def _aggregate(weights: np.ndarray, order: np.ndarray, kb: KnowledgeBase) -> np.ndarray:

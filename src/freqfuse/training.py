@@ -29,9 +29,9 @@ from .data import (
 )
 from .errors import ConfigError, NumericError
 from .kernel import AdamState, GradTape, Tensor, adam_step, ops
-from .losses import AUG_SIGMA, TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
+from .losses import TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
 from .model import FUSION_MODES, ForwardOptions, ModelParams, forward_batch, init_model_params
-from .retrieval import SIMILARITIES, KnowledgeBase
+from .retrieval import SIMILARITIES, TOP_K, KnowledgeBase
 from .rng import named_stream
 
 # the L2 weight decay of every Adam step
@@ -53,7 +53,7 @@ class TrainConfig:
     dropout: float = 0.1
     hidden1: int = 1024
     hidden2: int = 256
-    retrieval_k: int = 3
+    retrieval_k: int = TOP_K
     # ablation switchboard
     frequency: bool = True
     contrastive: bool = True
@@ -214,7 +214,7 @@ def predict_probs(
             options=options,
         )
         rows = probs[start : start + _INFERENCE_TILE]
-        rows[...] = ops.softmax(result.logits).data[: len(rows)]
+        rows[...] = ops.softmax(result.logits.data)[: len(rows)]
     return probs
 
 
@@ -323,8 +323,8 @@ def train_fold(
                 ce = cross_entropy(fwd.logits, labels[idx], tape)
                 if config.contrastive:
                     aug_rng = named_stream(config.seed, "augment", fold, epoch, batch_no)
-                    t_aug = augment(fwd.t, AUG_SIGMA, aug_rng, tape)
-                    v_aug = augment(fwd.v, AUG_SIGMA, aug_rng, tape)
+                    t_aug = augment(fwd.t, aug_rng, tape)
+                    v_aug = augment(fwd.v, aug_rng, tape)
                     intra_t = info_nce(fwd.t, t_aug, TAU_INTRA, tape)
                     intra_v = info_nce(fwd.v, v_aug, TAU_INTRA, tape)
                     cross = info_nce(fwd.t, fwd.v, TAU_CROSS, tape)

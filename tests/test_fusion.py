@@ -6,11 +6,8 @@ from freqfuse.errors import DimensionError
 from freqfuse.fusion import (
     FusionParams,
     K_FILTERS,
-    co_select,
-    filter_compress,
     init_fusion_params,
     spectral_stage,
-    spectral_transform,
 )
 from freqfuse.kernel import GradTape, Tensor
 from freqfuse.rng import named_stream
@@ -34,39 +31,41 @@ def make_params(d, k=K_FILTERS, w_gate=None, b_gate=None, w_filter=None, b_filte
     )
 
 
-def test_spectral_transform_is_magnitude_spectrum():
+def test_stage_spectra_are_magnitude_spectra():
     rng = named_stream(0, "test-st")
-    t = rng.standard_normal(8)
-    v = rng.standard_normal(8)
-    tf, vf = spectral_transform(Tensor(t), Tensor(v))
-    assert np.max(np.abs(tf.data - np.abs(naive_dft(t)))) <= 1e-9
-    assert np.max(np.abs(vf.data - np.abs(naive_dft(v)))) <= 1e-9
+    t = rng.standard_normal((1, 8))
+    v = rng.standard_normal((1, 8))
+    feats = spectral_stage(Tensor(t), Tensor(v), make_params(8))
+    assert np.max(np.abs(feats.t_freq.data - np.abs(naive_dft(t[0])))) <= 1e-9
+    assert np.max(np.abs(feats.v_freq.data - np.abs(naive_dft(v[0])))) <= 1e-9
 
 
 def test_identity_filter_bank_passes_spectrum_through():
     # d = K = 4 with the filter rows forming the standard basis
-    m = Tensor([3.0, 1.0, 4.0, 1.5])
-    out = filter_compress(m, Tensor(np.eye(4)), Tensor(np.zeros(4)))
-    assert np.array_equal(out.data, m.data)
+    m = Tensor([[3.0, 1.0, 4.0, 1.5]])
+    feats = spectral_stage(m, m, make_params(4, w_filter=np.eye(4)))
+    assert np.array_equal(feats.t_compressed.data, feats.t_freq.data)
+    assert np.array_equal(feats.v_compressed.data, feats.v_freq.data)
 
 
 def test_zero_filter_bank_returns_bias():
-    m = Tensor([3.0, 1.0, 4.0, 1.5])
-    b = Tensor([7.0, -2.0, 0.5, 9.0])
-    out = filter_compress(m, Tensor(np.zeros((4, 4))), b)
-    assert np.array_equal(out.data, b.data)
+    m = Tensor([[3.0, 1.0, 4.0, 1.5]])
+    b = [7.0, -2.0, 0.5, 9.0]
+    feats = spectral_stage(m, m, make_params(4, b_filter=b))
+    assert np.array_equal(feats.t_compressed.data, [b])
+    assert np.array_equal(feats.v_compressed.data, [b])
 
 
 def test_filter_bank_width_checked():
     with pytest.raises(DimensionError):
-        filter_compress(Tensor(np.ones(5)), Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))
+        spectral_stage(Tensor(np.ones((1, 5))), Tensor(np.ones((1, 5))), make_params(4))
 
 
 def test_zero_gate_preactivation_halves_spectrum():
     rng = named_stream(1, "test-gate0")
     d = 8
-    t = Tensor(rng.standard_normal(d))
-    v = Tensor(rng.standard_normal(d))
+    t = Tensor(rng.standard_normal((1, d)))
+    v = Tensor(rng.standard_normal((1, d)))
     params = make_params(d)  # all-zero gates: sigmoid(0) = 0.5 exactly
     feats = spectral_stage(t, v, params)
     assert np.array_equal(feats.t_enhanced.data, 0.5 * feats.t_freq.data)
@@ -76,8 +75,8 @@ def test_zero_gate_preactivation_halves_spectrum():
 def test_saturated_gate_passes_spectrum():
     rng = named_stream(2, "test-gate-sat")
     d = 8
-    t = Tensor(rng.standard_normal(d))
-    v = Tensor(rng.standard_normal(d))
+    t = Tensor(rng.standard_normal((1, d)))
+    v = Tensor(rng.standard_normal((1, d)))
     params = make_params(d, b_gate=np.full(d, 50.0))
     feats = spectral_stage(t, v, params)
     assert np.max(np.abs(feats.t_enhanced.data - feats.t_freq.data)) <= 1e-12
@@ -85,7 +84,8 @@ def test_saturated_gate_passes_spectrum():
 
 
 def oracle_stage(t, v, p, cross_modal=True):
-    """Straight-line reimplementation of the whole fusion stage in plain numpy."""
+    """Straight-line reimplementation of the whole fusion stage in plain numpy,
+    on one (d,) vector per modality."""
     tf = np.abs(naive_dft(t))
     vf = np.abs(naive_dft(v))
     tc = p.w_filter_text.data @ tf + p.b_filter_text.data
@@ -105,10 +105,10 @@ def test_stage_matches_straight_line_oracle():
     params = init_fusion_params(d, k, rng)
     t = rng.standard_normal(d)
     v = rng.standard_normal(d)
-    feats = spectral_stage(Tensor(t), Tensor(v), params)
+    feats = spectral_stage(Tensor(t[None]), Tensor(v[None]), params)
     want_t, want_v = oracle_stage(t, v, params)
-    assert np.max(np.abs(feats.t_enhanced.data - want_t)) <= 1e-12
-    assert np.max(np.abs(feats.v_enhanced.data - want_v)) <= 1e-12
+    assert np.max(np.abs(feats.t_enhanced.data[0] - want_t)) <= 1e-12
+    assert np.max(np.abs(feats.v_enhanced.data[0] - want_v)) <= 1e-12
 
 
 def test_self_driven_gates_when_co_selection_off():
@@ -120,11 +120,11 @@ def test_self_driven_gates_when_co_selection_off():
     params.w_gate_image.data[:] = -3.0
     t = rng.standard_normal(d)
     v = rng.standard_normal(d)
-    feats = spectral_stage(Tensor(t), Tensor(v), params, co_selection=False)
+    feats = spectral_stage(Tensor(t[None]), Tensor(v[None]), params, co_selection=False)
     want_t, want_v = oracle_stage(t, v, params, cross_modal=False)
-    assert np.max(np.abs(feats.t_enhanced.data - want_t)) <= 1e-12
-    assert np.max(np.abs(feats.v_enhanced.data - want_v)) <= 1e-12
-    crossed = spectral_stage(Tensor(t), Tensor(v), params, co_selection=True)
+    assert np.max(np.abs(feats.t_enhanced.data[0] - want_t)) <= 1e-12
+    assert np.max(np.abs(feats.v_enhanced.data[0] - want_v)) <= 1e-12
+    crossed = spectral_stage(Tensor(t[None]), Tensor(v[None]), params, co_selection=True)
     assert not np.allclose(feats.t_enhanced.data, crossed.t_enhanced.data)
 
 
@@ -136,8 +136,8 @@ def test_gates_bounded_and_never_amplify():
         # random but finite gate parameters of moderate size
         params.w_gate_text.data[:] = rng.standard_normal((d, 1)) * 3
         params.b_gate_text.data[:] = rng.standard_normal(d) * 3
-        t = Tensor(rng.standard_normal(d))
-        v = Tensor(rng.standard_normal(d))
+        t = Tensor(rng.standard_normal((1, d)))
+        v = Tensor(rng.standard_normal((1, d)))
         feats = spectral_stage(t, v, params)
         assert np.all(np.abs(feats.t_enhanced.data) <= feats.t_freq.data + 1e-15)
         assert np.all(np.abs(feats.v_enhanced.data) <= feats.v_freq.data + 1e-15)
@@ -165,9 +165,9 @@ def test_batched_stage_matches_per_row():
     v = rng.standard_normal((5, d))
     batched = spectral_stage(Tensor(t), Tensor(v), params)
     for i in range(5):
-        row = spectral_stage(Tensor(t[i]), Tensor(v[i]), params)
-        assert np.allclose(batched.t_enhanced.data[i], row.t_enhanced.data, atol=1e-12)
-        assert np.allclose(batched.v_enhanced.data[i], row.v_enhanced.data, atol=1e-12)
+        row = spectral_stage(Tensor(t[i : i + 1]), Tensor(v[i : i + 1]), params)
+        assert np.allclose(batched.t_enhanced.data[i], row.t_enhanced.data[0], atol=1e-12)
+        assert np.allclose(batched.v_enhanced.data[i], row.v_enhanced.data[0], atol=1e-12)
 
 
 def test_gate_gradients_reach_both_modalities():
@@ -177,12 +177,12 @@ def test_gate_gradients_reach_both_modalities():
     d = 8
     params = init_fusion_params(d, 4, rng)
     tape = GradTape()
-    t = Tensor(rng.standard_normal(d))
-    v = Tensor(rng.standard_normal(d))
+    t = Tensor(rng.standard_normal((1, d)))
+    v = Tensor(rng.standard_normal((1, d)))
     feats = spectral_stage(t, v, params, tape)
     from freqfuse.kernel import ops
 
-    s = ops.mean_pool(feats.t_enhanced, tape=tape)
+    s = ops.mean_pool(ops.mean_pool(feats.t_enhanced, tape=tape), tape=tape)
     tape.backward(s)
     assert params.w_filter_image.grad is not None
     assert np.any(params.w_filter_image.grad != 0)

@@ -129,16 +129,11 @@ def test_info_nce_rejects_zero_rows_and_bad_tau():
         info_nce(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), 0.07)
 
 
-def test_augment_sigma_zero_is_identity_object():
-    x = Tensor(np.ones((2, 4)))
-    assert augment(x, 0.0, named_stream(0, "aug")) is x
-
-
 def test_augment_deterministic_and_norm_preserving():
     rng = named_stream(5, "test-aug")
     x = Tensor(rng.standard_normal((6, 16)) * 3)
-    a = augment(x, 0.1, named_stream(9, "augment", 0)).data
-    b = augment(x, 0.1, named_stream(9, "augment", 0)).data
+    a = augment(x, named_stream(9, "augment", 0)).data
+    b = augment(x, named_stream(9, "augment", 0)).data
     assert np.array_equal(a, b)
     assert np.max(np.abs(np.linalg.norm(a, axis=1) - np.linalg.norm(x.data, axis=1))) <= 1e-12
     assert not np.allclose(a, x.data)
@@ -151,7 +146,7 @@ def test_augment_stays_close_in_angle():
     cosines = []
     for _ in range(1000):
         x = Tensor(rng.standard_normal((1, 256)))
-        a = augment(x, 0.1, draws).data[0]
+        a = augment(x, draws).data[0]
         cosines.append(
             float(np.dot(a, x.data[0]) / (np.linalg.norm(a) * np.linalg.norm(x.data[0])))
         )

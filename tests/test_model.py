@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from freqfuse import model
 from freqfuse.data import DatasetManifest, KnowledgeEntry, _float_list
 from freqfuse.errors import ConfigError, ContractError, DataError
 from freqfuse.kernel import Tensor
@@ -14,7 +15,6 @@ from freqfuse.model import (
     _param_shapes,
     classify,
     forward_batch,
-    fuse,
     fusion_in_dim,
     init_classifier_params,
     init_model_params,
@@ -42,27 +42,40 @@ def tiny_kb(d=8, n=6, seed=0):
     )
 
 
-def test_fused_width_per_mode():
+def _forward_with_classifier_input(monkeypatch, params, kb=None):
+    """forward_batch on a fixed batch, and the z it hands to the classifier head."""
+    seen = []
+    head = model.classify
+
+    def spy(z, *args, **kwargs):
+        seen.append(z)
+        return head(z, *args, **kwargs)
+
+    monkeypatch.setattr(model, "classify", spy)
+    rng = named_stream(0, "test-width")
+    out = forward_batch(params, rng.standard_normal((2, 300)), rng.standard_normal((2, 8)), kb=kb)
+    return out, seen[0]
+
+
+def test_fused_width_per_mode(monkeypatch):
     assert fusion_in_dim(256, "freq_only") == 512
     assert fusion_in_dim(256, "freq_plus_knowledge") == 768
     with pytest.raises(ConfigError):
         fusion_in_dim(256, "spatial")
     with pytest.raises(ConfigError, match="unknown fusion_mode 'spatial'"):
         init_model_params(PRE, fusion_mode="spatial", hidden1=16, hidden2=8, dropout=0.1)
-    rng = named_stream(0, "test-width")
-    t = Tensor(rng.standard_normal((2, 256)))
-    v = Tensor(rng.standard_normal((2, 256)))
-    k = Tensor(rng.standard_normal((2, 256)))
-    assert fuse(t, v, None).shape == (2, 512)
-    assert fuse(t, v, k).shape == (2, 768)
+    _, z = _forward_with_classifier_input(monkeypatch, tiny_params())
+    assert z.shape == (2, 16)
+    _, z = _forward_with_classifier_input(monkeypatch, tiny_params(mode="freq_plus_knowledge"),
+                                          tiny_kb())
+    assert z.shape == (2, 24)
 
 
-def test_fuse_keeps_segment_order():
-    t = Tensor([[1.0, 2.0]])
-    v = Tensor([[3.0, 4.0]])
-    k = Tensor([[5.0, 6.0]])
-    z = fuse(t, v, k)
-    assert np.array_equal(z.data, [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+def test_fuse_keeps_segment_order(monkeypatch):
+    params = tiny_params(mode="freq_plus_knowledge")
+    out, z = _forward_with_classifier_input(monkeypatch, params, tiny_kb())
+    t, v = out.features.t_enhanced.data, out.features.v_enhanced.data
+    assert np.array_equal(z.data, np.concatenate([t, v, out.k_agg], axis=1))
 
 
 def test_zeroed_classifier_outputs_final_bias():

@@ -6,19 +6,19 @@ from freqfuse.kernel import GradTape, Tensor, ops
 from freqfuse.rng import named_stream
 
 
-# the matvec cases are ops.linear applied to a single (n,) vector
+# the matvec cases are ops.linear applied to a one-row batch (1, n)
 
 
 def test_matvec_identity_passes_through():
-    x = Tensor([1.0, -2.0, 3.0])
+    x = Tensor([[1.0, -2.0, 3.0]])
     out = ops.linear(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.array_equal(out.data, x.data)
 
 
 def test_matvec_zero_weight_returns_bias():
     b = Tensor([5.0, -1.0])
-    out = ops.linear(Tensor(np.ones(3)), Tensor(np.zeros((2, 3))), b)
-    assert np.array_equal(out.data, b.data)
+    out = ops.linear(Tensor(np.ones((1, 3))), Tensor(np.zeros((2, 3))), b)
+    assert np.array_equal(out.data, b.data[None, :])
 
 
 def test_matvec_matches_double_loop():
@@ -26,24 +26,34 @@ def test_matvec_matches_double_loop():
     w = rng.standard_normal((4, 6))
     x = rng.standard_normal(6)
     b = rng.standard_normal(4)
-    out = ops.linear(Tensor(x), Tensor(w), Tensor(b))
-    assert out.shape == (4,)
+    out = ops.linear(Tensor(x[None, :]), Tensor(w), Tensor(b))
+    assert out.shape == (1, 4)
     expect = np.zeros(4)
     for i in range(4):
         acc = b[i]
         for j in range(6):
             acc += w[i, j] * x[j]
         expect[i] = acc
-    assert np.max(np.abs(out.data - expect)) <= 1e-12
+    assert np.max(np.abs(out.data[0] - expect)) <= 1e-12
 
 
 def test_matvec_shape_mismatch():
     with pytest.raises(DimensionError):
-        ops.linear(Tensor(np.zeros(4)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+        ops.linear(Tensor(np.zeros((1, 4))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
-        ops.linear(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+        ops.linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
-        ops.linear(Tensor(np.zeros(3)), Tensor(np.zeros(3)), Tensor(np.zeros(1)))
+        ops.linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros(3)), Tensor(np.zeros(1)))
+
+
+def test_linear_and_layernorm_take_batches_only():
+    w, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))
+    gain, shift = Tensor(np.ones(3)), Tensor(np.zeros(3))
+    for shape in ((3,), (2, 2, 3)):
+        with pytest.raises(DimensionError):
+            ops.linear(Tensor(np.ones(shape)), w, b)
+        with pytest.raises(DimensionError):
+            ops.layernorm(Tensor(np.ones(shape)), gain, shift)
 
 
 def test_linear_rows_match_matvec():
@@ -53,8 +63,8 @@ def test_linear_rows_match_matvec():
     x = rng.standard_normal((4, 3))
     batched = ops.linear(Tensor(x), Tensor(w), Tensor(b))
     for i in range(4):
-        row = ops.linear(Tensor(x[i]), Tensor(w), Tensor(b))
-        assert np.allclose(batched.data[i], row.data, atol=1e-14)
+        row = ops.linear(Tensor(x[i : i + 1]), Tensor(w), Tensor(b))
+        assert np.allclose(batched.data[i], row.data[0], atol=1e-14)
 
 
 def test_matmul_nt_is_a_bt():
@@ -77,6 +87,8 @@ def test_mul_broadcast_last_axis():
     assert np.array_equal(out.data, [[10.0, 20.0], [300.0, 400.0]])
     with pytest.raises(DimensionError):
         ops.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):  # only the second operand broadcasts
+        ops.mul(g, a)
 
 
 def test_mul_broadcast_backward_sums():
@@ -133,10 +145,10 @@ def test_gelu_fixed_points():
 def test_softmax_rows_normalized_and_shift_invariant():
     rng = named_stream(4, "test-softmax")
     x = rng.standard_normal((8, 5)) * 3
-    s = ops.softmax(Tensor(x)).data
+    s = ops.softmax(x)
     assert np.allclose(s.sum(axis=-1), 1.0, atol=1e-12)
     assert np.all(s > 0)
-    shifted = ops.softmax(Tensor(x + 100.0)).data
+    shifted = ops.softmax(x + 100.0)
     assert np.allclose(s, shifted, atol=1e-12)
 
 
@@ -186,9 +198,9 @@ def test_dropout_deterministic_and_inverted():
 def test_mean_pool_axes():
     x = Tensor([[1.0, 2.0], [3.0, 5.0]])
     assert np.array_equal(ops.mean_pool(x).data, [1.5, 4.0])
-    assert np.array_equal(ops.mean_pool(x, axis=0).data, [2.0, 3.5])
-    kept = ops.mean_pool(x, axis=-1, keepdims=True)
+    kept = ops.mean_pool(x, keepdims=True)
     assert kept.shape == (2, 1)
+    assert np.array_equal(kept.data, [[1.5], [4.0]])
 
 
 def test_row_norms_and_rownorm():

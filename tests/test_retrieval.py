@@ -27,7 +27,7 @@ from freqfuse.retrieval import (
     retrieve_batch,
 )
 from freqfuse import retrieval
-from freqfuse.kernel import Tensor, ops
+from freqfuse.kernel import ops
 from freqfuse.rng import named_stream
 
 
@@ -401,9 +401,7 @@ def test_top_k_matches_full_sort_oracle_with_ties():
                     ranked = np.sort(scores, axis=1)[:, ::-1]
                     if k < n:
                         boundary_ties += int(np.sum(ranked[:, k - 1] == ranked[:, k]))
-                    weights = ops.softmax(
-                        Tensor(np.take_along_axis(scores, expect, axis=1) / 0.1)
-                    ).data
+                    weights = ops.softmax(np.take_along_axis(scores, expect, axis=1) / 0.1)
                     agg = retrieve_batch(queries, kb, k=k, similarity=similarity)
                     want = np.einsum("bk,bkd->bd", weights, kb.embeddings[expect])
                     assert np.array_equal(agg, want), (n, trial, k, similarity)
@@ -474,7 +472,7 @@ def test_block_max_top_k_is_exact_where_blocks_prune(n):
             assert np.array_equal(order, expect), (n, k, similarity)
             want = np.take_along_axis(scores, expect, axis=1)
             assert np.array_equal(top, want)
-            assert np.array_equal(weights, ops.softmax(Tensor(want / 0.1)).data)
+            assert np.array_equal(weights, ops.softmax(want / 0.1))
             # anchor copies tie at the top of their queries' rankings
             best = np.sort(scores, axis=1)[:, -2:]
             assert np.sum(best[:, 0] == best[:, 1]) >= 3
@@ -558,7 +556,7 @@ def test_screen_margin_keeps_the_exact_top_k():
             assert np.array_equal(order, expect), (k, similarity)
             want = np.take_along_axis(scores, expect, axis=1)
             assert np.array_equal(top, want), (k, similarity)
-            assert np.array_equal(weights, ops.softmax(Tensor(want / 0.1)).data)
+            assert np.array_equal(weights, ops.softmax(want / 0.1))
             # the screen keeps each query's top k, and ranks by float64, not float32
             rows, cols = _screen(queries / np.linalg.norm(queries, axis=1)[:, None], kb, k,
                                  similarity)
@@ -579,7 +577,7 @@ def _exact_top_k(queries, kb, k):
         assert np.array_equal(order, expect), (k, similarity)
         want = np.take_along_axis(scores, expect, axis=1)
         assert np.array_equal(top, want), (k, similarity)
-        assert np.array_equal(weights, ops.softmax(Tensor(want / 0.1)).data), (k, similarity)
+        assert np.array_equal(weights, ops.softmax(want / 0.1)), (k, similarity)
         expected[similarity] = expect
     return expected
 

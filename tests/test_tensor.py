@@ -78,7 +78,6 @@ _OPS = {
     "concat": ([(2, 3), (2, 2)], lambda a, b, tape: ops.concat([a, b], tape)),
     "sigmoid": ([(2, 3)], ops.sigmoid),
     "gelu": ([(2, 3)], ops.gelu),
-    "softmax": ([(2, 3)], ops.softmax),
     "layernorm": ([(2, 3), (3,), (3,)], ops.layernorm),
     "dropout": ([(2, 3)], lambda x, tape: ops.dropout(x, 0.5, np.random.default_rng(0), True,
                                                       tape)),

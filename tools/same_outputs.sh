@@ -25,6 +25,8 @@
 # change of file format alone reads "same parameters and meta"; otherwise the
 # script names each tensor whose loaded bytes, dtype or shape differ, e.g.
 #   differs: train/fold0.ckpt.json: tensors differ: cls.b3
+# For a .out, .csv or .jsonl file on both sides it prints the first 20 lines
+# of `diff -u PARENT CHANGE` below the name.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -206,6 +208,11 @@ for rel in $files; do
             detail=""
         fi
         echo "differs: $rel$detail"
+        if [[ -f $work/parent/$rel && -f $work/change/$rel && $rel =~ \.(out|csv|jsonl)$ ]]; then
+            # diff exits 1 on a difference, and head may cut its output short
+            diff -u --label "PARENT/$rel" --label "CHANGE/$rel" \
+                "$work/parent/$rel" "$work/change/$rel" | head -n 20 || true
+        fi
         differ=1
     fi
 done
