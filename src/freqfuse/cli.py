@@ -150,7 +150,8 @@ def build_parser() -> _Parser:
     p_ret = sub.add_parser("retrieve", help="probe the knowledge base with query vectors")
     _add_common(p_ret)
     p_ret.add_argument("--kb", default=None)
-    p_ret.add_argument("--queries", required=True, help="JSONL file, one vector per line")
+    p_ret.add_argument("--queries", required=True,
+                       help="JSONL file, one vector per line: a number list or base64 float64 text")
     p_ret.add_argument("--k", type=int, default=TOP_K)
     p_ret.add_argument("--tau", type=float, default=SOFTMAX_TAU)
     p_ret.add_argument("--similarity", choices=SIMILARITIES, default="fidelity")
@@ -367,7 +368,7 @@ def cmd_retrieve(args, file_values) -> int:
         try:
             value = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: not a JSON number array") from exc
+            raise DataError(f"{where}: not a JSON number array or base64 text") from exc
         if isinstance(value, list) and len(value) != kb.d_model:
             raise DataError(
                 f"{where}: query width {len(value)} does not match knowledge base width "

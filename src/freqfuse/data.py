@@ -7,26 +7,31 @@ Datasets are JSON Lines. The first line is a header:
 and every following line is one sample:
 
     {"id": "...", "image_id": "...", "answer_class": 0,
-     "image_features": [...],                # 768 floats ("vit") or d_model floats ("precomputed")
-     "question_features": [...]}             # 300 floats, OR "question_tokens": [int, ...]
+     "image_features": <vector>,             # 768 floats ("vit") or d_model floats ("precomputed")
+     "question_features": <vector>}          # 300 floats, OR "question_tokens": [int, ...]
 
 Knowledge bases are JSON Lines with no header; each line is
-{"id": "...", "text": "...", "embedding": [d_model floats]}. Its embeddings
-are parsed into one preallocated matrix. A large one is parsed in byte ranges,
-one per available core: the loading process parses the first, and a spawned
-process each of the others.
+{"id": "...", "text": "...", "embedding": <vector of d_model floats>}. Its
+embeddings are decoded straight into one preallocated matrix, a block of rows
+at a time.
+
+A vector is written as the base64 text (RFC 4648, padded) of its little-endian
+float64 bytes, the encoding checkpoints use, so it loads bit for bit. A reader
+also takes a JSON list of numbers, as a hand-written file holds.
 
 Lines split on "\n" only, as JSON Lines specifies; a "\r\n" ending parses.
 """
 
+import base64
 import json
 import os
+import struct
 import sys
 import tempfile
 import warnings
 import zlib
 from dataclasses import dataclass
-from multiprocessing import current_process, get_context
+from multiprocessing import current_process
 
 import numpy as np
 
@@ -38,11 +43,7 @@ VIT_DIM = 768
 FEATURE_LAYOUTS = ("vit", "precomputed")
 PAD_TOKEN = 0
 MAX_TOKENS = 50
-# A KB file gets one byte range per this many bytes, up to one per usable
-# core. On 2 cores, two ranges first beat one at about 32 MB of file: starting
-# a worker process costs about 0.4 s, and a range parses at about 26 MB/s.
-_KB_CHUNK_BYTES = 16 << 20
-# KB rows converted and checked together; bounds the Python floats held at once
+# KB rows decoded and checked together; bounds the row bytes held at once
 _KB_BLOCK_ROWS = 1024
 # Bytes read at once to count a KB file's newlines. Kept small: freeing such
 # a buffer makes glibc's malloc raise its mmap threshold to the buffer's size,
@@ -124,28 +125,17 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _text_lines(fh, path: str, lineno: int = 1, size: int | None = None):
-    """Yield (line number, text) for each line read from the binary file `fh`,
-    up to `size` bytes or the end; a line that is not UTF-8 is a DataError."""
-    for raw in fh:
-        if size is not None:
-            if size <= 0:
-                return
-            size -= len(raw)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path} line {lineno}: not UTF-8 text") from None
-        yield lineno, text
-        lineno += 1
-
-
 def text_lines(path: str, what: str):
     """Yield (line number, text) for each line of a UTF-8 text file, split on
     "\n" only. An unreadable file or a line that is not UTF-8 is a DataError."""
     try:
         with open(path, "rb") as fh:
-            yield from _text_lines(fh, path)
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    text = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise DataError(f"{path} line {lineno}: not UTF-8 text") from None
+                yield lineno, text
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
@@ -172,9 +162,38 @@ def _check_vector(value, length: int, where: str) -> None:
         raise DataError(f"{where}: expected {length} finite numbers")
 
 
+def float64_text(values) -> str:
+    """The base64 text (RFC 4648, padded) of `values` as little-endian float64
+    bytes in row-major order; NaN and infinities are a ValueError, as they are
+    to a JSON writer with allow_nan=False."""
+    arr = np.ascontiguousarray(values, dtype="<f8")
+    if not np.isfinite(arr).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return base64.b64encode(arr).decode("ascii")
+
+
+def _float64_bytes(text: str, length: int, where: str) -> bytes:
+    """The little-endian bytes of `length` float64 values from their base64
+    text; text that is not base64, or holds another count, is a DataError."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raise DataError(f"{where}: expected base64 text of little-endian float64 values") from None
+    if len(raw) % 8:
+        raise DataError(
+            f"{where}: expected base64 text of little-endian float64 values, got {len(raw)} bytes"
+        )
+    if len(raw) != 8 * length:
+        raise DataError(f"{where}: expected {length} numbers, got {len(raw) // 8}")
+    return raw
+
+
 def _float_list(value, length: int, where: str) -> np.ndarray:
-    """`length` finite numbers as a float64 array, from a JSON list or from a
-    float64 array that a JSON object_hook decoded."""
+    """`length` finite numbers as a writable float64 array, from base64 text
+    of their float64 bytes, a JSON list, or a float64 array that a JSON
+    object_hook decoded."""
+    if isinstance(value, str):
+        value = np.frombuffer(_float64_bytes(value, length, where), "<f8").astype(np.float64)
     if isinstance(value, np.ndarray):
         if value.shape != (length,):
             raise DataError(f"{where}: expected {length} numbers, got {value.size}")
@@ -281,13 +300,13 @@ def save_dataset(path: str, manifest: DatasetManifest, samples: list[Sample]) ->
             "id": sample.sample_id,
             "image_id": sample.image_id,
             "answer_class": int(sample.answer_class),
-            "image_features": [float(v) for v in sample.image_features],
+            "image_features": float64_text(sample.image_features),
         }
         if sample.question_tokens is not None:
             obj["question_tokens"] = [int(t) for t in sample.question_tokens]
         else:
-            obj["question_features"] = [float(v) for v in sample.question_features]
-        rows.append(json.dumps(obj, allow_nan=False))
+            obj["question_features"] = float64_text(sample.question_features)
+        rows.append(json.dumps(obj))
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
@@ -302,24 +321,10 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _kb_ranges(path: str) -> list[tuple[int, int]]:
-    """Byte ranges of a KB file, cut at line starts: one per usable core and
-    per _KB_CHUNK_BYTES of file, at least one."""
-    size = os.path.getsize(path)
-    count = max(1, min(usable_cores(), size // _KB_CHUNK_BYTES))
-    bounds = [0]
-    with open(path, "rb") as fh:
-        for i in range(1, count):
-            fh.seek(size * i // count)
-            fh.readline()
-            bounds.append(fh.tell())
-    bounds.append(size)
-    return list(zip(bounds, bounds[1:]))
-
-
 def _first_width(path: str) -> int | None:
-    """Embedding width on the first non-blank line of a KB file; None when that
-    line has no usable embedding, whose own parse then reports the fault."""
+    """Embedding width on the first non-blank line of a KB file: the length of
+    a list, or the decoded bytes / 8 of base64 text. None when that line has no
+    usable embedding, whose own parse then reports the fault."""
     with open(path, "rb") as fh:
         for raw in fh:
             try:
@@ -327,23 +332,19 @@ def _first_width(path: str) -> int | None:
                 if not line.strip():
                     continue
                 embedding = json.loads(line).get("embedding")
-            except (ValueError, AttributeError):
+                if isinstance(embedding, str):
+                    width, extra = divmod(len(base64.b64decode(embedding, validate=True)), 8)
+                    return width if width and not extra else None
+            except (ValueError, AttributeError):  # binascii.Error is a ValueError
                 return None
             return len(embedding) if isinstance(embedding, list) and embedding else None
     return None
 
 
-def _kb_newlines(path: str, start: int, end: int) -> int:
-    """The newlines in bytes [start, end) of a KB file."""
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            return sum(
-                fh.read(min(_READ_BYTES, end - offset)).count(b"\n")
-                for offset in range(start, end, _READ_BYTES)
-            )
-    except OSError as exc:
-        raise DataError(f"cannot read knowledge base {path}: {exc}") from exc
+def _kb_newlines(path: str) -> int:
+    """The newlines in a KB file."""
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(_READ_BYTES), b""))
 
 
 def _check_block(block: np.ndarray, linenos: list[int], path: str) -> None:
@@ -362,137 +363,69 @@ def _check_block(block: np.ndarray, linenos: list[int], path: str) -> None:
         raise DataError(f"{where}: embedding has zero norm")
 
 
-def _parse_kb_range(path: str, start: int, end: int, out: np.ndarray):
-    """Ids and texts of the KB lines in bytes [start, end) of `path`. Their
-    embeddings, each out.shape[1] wide, fill the leading rows of `out` and are
-    checked there; errors name the line's number in the whole file."""
+def _parse_kb(path: str, out: np.ndarray) -> tuple[list[str], list[str]]:
+    """Ids and texts of the KB file's lines. Their embeddings, each out.shape[1]
+    wide, are decoded to little-endian float64 bytes, and each block of
+    _KB_BLOCK_ROWS rows fills the next rows of `out` at once and is checked
+    there. A fault names its line; a fault in a row still pending in a block
+    is reported before one on a later line."""
+    dim = out.shape[1]
+    pack = struct.Struct(f"<{dim}d").pack
     ids, texts, rows, linenos = [], [], [], []
 
     def flush():
         if rows:
             block = out[len(ids) - len(rows) : len(ids)]
-            block[...] = rows
+            block[...] = np.frombuffer(b"".join(rows), "<f8").reshape(len(rows), dim)
             _check_block(block, linenos, path)
             rows.clear()
             linenos.clear()
 
-    first = 1 + _kb_newlines(path, 0, start)
     try:
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            for lineno, line in _text_lines(fh, path, first, end - start):
-                if not line.strip():
-                    continue
-                where = f"{path} line {lineno}"
-                obj = _json_object(line, where)
-                for key in ("id", "text", "embedding"):
-                    if key not in obj:
-                        raise DataError(f"{where}: missing required key {key!r}")
-                if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
-                    raise DataError(f"{where}: id and text must be strings")
-                raw = obj["embedding"]
-                if not isinstance(raw, list) or not raw:
-                    raise DataError(f"{where}: embedding must be a non-empty list of numbers")
-                _check_vector(raw, out.shape[1], f"{where}: embedding")
-                ids.append(obj["id"])
-                texts.append(obj["text"])
-                rows.append(raw)
-                linenos.append(lineno)
-                if len(rows) == _KB_BLOCK_ROWS:
-                    flush()
-    except OSError as exc:
-        raise DataError(f"cannot read knowledge base {path}: {exc}") from exc
+        for lineno, line in text_lines(path, "knowledge base"):
+            if not line.strip():
+                continue
+            where = f"{path} line {lineno}"
+            obj = _json_object(line, where)
+            for key in ("id", "text", "embedding"):
+                if key not in obj:
+                    raise DataError(f"{where}: missing required key {key!r}")
+            if not isinstance(obj["id"], str) or not isinstance(obj["text"], str):
+                raise DataError(f"{where}: id and text must be strings")
+            raw = obj["embedding"]
+            if not isinstance(raw, (str, list)) or not raw:
+                raise DataError(
+                    f"{where}: embedding must be base64 text or a non-empty list of numbers"
+                )
+            if isinstance(raw, str):
+                rows.append(_float64_bytes(raw, dim, f"{where}: embedding"))
+            else:
+                _check_vector(raw, dim, f"{where}: embedding")
+                rows.append(pack(*raw))
+            ids.append(obj["id"])
+            texts.append(obj["text"])
+            linenos.append(lineno)
+            if len(rows) == _KB_BLOCK_ROWS:
+                flush()
     except DataError:
-        flush()  # a fault on an earlier line of the range is reported first
+        flush()  # a fault on an earlier line is reported first
         raise
     flush()
     return ids, texts
 
 
-def _bytes_of(rows: np.ndarray) -> memoryview:
-    """The bytes of C-contiguous `rows`, as a flat view that shares their memory."""
-    return memoryview(rows.reshape(-1).view(np.uint8))
-
-
-def _kb_range_worker(conn, path: str, start: int, end: int, dim: int) -> None:
-    """Parse one byte range of a KB file in a spawned process. Sends the ids
-    and texts, or the error, then writes the rows' raw bytes to the pipe,
-    unframed: the receiver knows their count from the ids. Module-level so the
-    process can find it by name, and private because a wrapped function cannot
-    be sent (perfbench's tracer wraps public ones)."""
-    try:
-        out = np.empty((1 + _kb_newlines(path, start, end), dim))
-        part = _parse_kb_range(path, start, end, out)
-    except Exception as exc:
-        conn.send(exc)
-        return
-    conn.send(part)
-    view = _bytes_of(out[: len(part[0])])
-    while view:
-        view = view[os.write(conn.fileno(), view) :]
-
-
-def _worker_ended(process, path: str) -> DataError:
-    process.join()
-    return DataError(
-        f"cannot read knowledge base {path}: a parsing process ended "
-        f"with exit code {process.exitcode}"
-    )
-
-
-def _read_rows(receiver, process, rows: np.ndarray, path: str) -> None:
-    """Fill `rows` from a worker's pipe, reading its file descriptor straight
-    into them: no message buffer the size of the rows is ever made."""
-    view = _bytes_of(rows)
-    while view:
-        got = os.readv(receiver.fileno(), [view])
-        if not got:  # the worker ended before sending every row
-            raise _worker_ended(process, path)
-        view = view[got:]
-
-
 def load_knowledge_base(path: str, d_model: int | None = None) -> KnowledgeColumns:
-    """The KB file as columns. The embeddings are parsed into one matrix, sized
-    by the file's line count. A large file is parsed in byte ranges: this
-    process parses the first, and one spawned process each of the others,
-    whose rows are read straight into their place. The earliest range's error
-    wins, so whatever faults the file holds the error names the first faulty
-    line."""
+    """The KB file as columns. The embeddings are decoded into one matrix, with
+    a row for every line of the file, sized before parsing. Whatever faults the
+    file holds, the error names the first faulty line. Without `d_model`, the
+    width is that of the first non-blank line's embedding."""
     try:
         dim = _first_width(path) if d_model is None else d_model
-        # with no width the first non-blank line is faulty, or the file is blank
-        ranges = _kb_ranges(path) if dim is not None else [(0, os.path.getsize(path))]
+        matrix = np.empty((1 + _kb_newlines(path), dim or 0))
     except OSError as exc:
         raise DataError(f"cannot read knowledge base {path}: {exc}") from exc
-    context = get_context("spawn")
-    workers = []
-    try:
-        for start, end in ranges[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_kb_range_worker, args=(sender, path, start, end, dim), daemon=True
-            )
-            process.start()
-            sender.close()
-            workers.append((process, receiver))
-        matrix = np.empty((1 + _kb_newlines(path, 0, ranges[-1][1]), dim or 0))
-        ids, texts = _parse_kb_range(path, *ranges[0], matrix)
-        for process, receiver in workers:
-            try:
-                part = receiver.recv()
-            except EOFError:
-                raise _worker_ended(process, path) from None
-            if isinstance(part, Exception):
-                raise part
-            n = len(ids)
-            _read_rows(receiver, process, matrix[n : n + len(part[0])], path)
-            ids += part[0]
-            texts += part[1]
-    finally:
-        for process, receiver in workers:
-            process.terminate()  # a no-op once it has ended
-            process.join()
-            receiver.close()
+    # with no width the first non-blank line is faulty, or the file is blank
+    ids, texts = _parse_kb(path, matrix)
     if not ids:
         raise DataError(f"{path}: knowledge base is empty")
     return KnowledgeColumns(ids=ids, texts=texts, embeddings=matrix[: len(ids)])
@@ -504,9 +437,8 @@ def save_knowledge_base(path: str, entries: list[KnowledgeEntry]) -> None:
             {
                 "id": entry.entry_id,
                 "text": entry.text,
-                "embedding": [float(v) for v in entry.embedding],
-            },
-            allow_nan=False,
+                "embedding": float64_text(entry.embedding),
+            }
         )
         for entry in entries
     ]

@@ -7,14 +7,13 @@ The classifier input is [t_enhanced | v_enhanced] in freq_only mode or
 then a final Linear; softmax lives in the loss, not here.
 """
 
-import base64
 import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import TEXT_DIM, VIT_DIM, DatasetManifest, _float_list, atomic_write_text
+from .data import TEXT_DIM, VIT_DIM, DatasetManifest, _float_list, atomic_write_text, float64_text
 from .errors import ConfigError, ContractError, DataError
 from .fusion import K_FILTERS, FusionParams, SpectralFeatures, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor
@@ -23,7 +22,7 @@ from .retrieval import TOP_K, KnowledgeBase, retrieve_batch
 from .rng import named_stream
 
 FUSION_MODES = ("freq_only", "freq_plus_knowledge")
-CHECKPOINT_VERSION = 2  # the version written; version 1 (lists of JSON numbers) is still read
+CHECKPOINT_VERSION = 2  # the only version read; version 1 stored lists of JSON numbers
 
 
 @dataclass
@@ -251,10 +250,7 @@ def save_checkpoint(path: str, params: ModelParams, extra_meta: dict | None = No
         "format_version": CHECKPOINT_VERSION,
         "meta": meta,
         "params": {
-            name: {
-                "shape": list(t.shape),
-                "data": base64.b64encode(np.ascontiguousarray(t.data, dtype="<f8")).decode(),
-            }
+            name: {"shape": list(t.shape), "data": float64_text(t.data)}
             for name, t in params.named().items()
         },
     }
@@ -297,17 +293,14 @@ def _param_shapes(meta: dict) -> dict[str, tuple[int, ...]]:
 
 def _tensor_hook(obj: dict) -> dict:
     """json object_hook: the base64 text of each parsed {"shape", "data"}
-    object (version 2) becomes a float64 array at once, so the text and the
-    decoded bytes of only one tensor are alive at a time. Text that is not
-    base64 of whole little-endian float64 values stays text, for
-    `read_checkpoint` to reject naming the parameter; version-1 lists stay
-    lists for `_float_list`."""
-    data = obj.get("data")
-    if "shape" in obj and type(data) is str:
+    object becomes a float64 array at once, so the text and the decoded bytes
+    of only one tensor are alive at a time. Data that `_float_list` rejects
+    stays as it is, for `read_checkpoint` to reject naming the parameter."""
+    data, shape = obj.get("data"), obj.get("shape")
+    if type(data) is str and isinstance(shape, list) and all(type(n) is int for n in shape):
         try:
-            raw = base64.b64decode(data, validate=True)
-            obj["data"] = np.frombuffer(raw, "<f8").astype(np.float64)
-        except ValueError:  # binascii.Error, or a byte count not a multiple of 8
+            obj["data"] = _float_list(data, math.prod(shape), "")
+        except DataError:
             pass
     return obj
 
@@ -327,9 +320,9 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
     if not isinstance(blob, dict):
         raise DataError(f"checkpoint {path} is not a JSON object")
     version = blob.get("format_version")
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(
-            f"checkpoint format {version!r} unsupported (expected 1 or {CHECKPOINT_VERSION})"
+            f"checkpoint format {version!r} unsupported (expected {CHECKPOINT_VERSION})"
         )
     meta = blob.get("meta")
     if not isinstance(meta, dict):
@@ -363,10 +356,8 @@ def read_checkpoint(path: str) -> tuple[ModelParams, dict]:
             raise DataError(f"checkpoint param {name} does not hold shape {shape}")
         where = f"checkpoint {path} param {name}"
         data, n = entry.get("data"), math.prod(shape)
-        if version == CHECKPOINT_VERSION and not isinstance(data, np.ndarray):
+        if not isinstance(data, (str, np.ndarray)):
             raise DataError(f"{where}: expected base64 text of {n} little-endian float64 values")
-        if version == 1 and isinstance(data, np.ndarray):
-            raise DataError(f"{where}: expected a list of {n} numbers")
         arrays[name] = _float_list(data, n, where).reshape(shape)
     params = init_model_params(
         manifest,

@@ -421,19 +421,11 @@ def _ckpt_without_meta_key(tmp_path, synth_dir, ckpt):
     return _eval_args(synth_dir, bad)
 
 
-def _ckpt_edited(*keys, value, version=2):
-    """eval with a checkpoint whose blob[keys[0]][keys[1]]... is set to
-    `value`; with version=1 it is first rewritten as a version-1 file, each
-    tensor's data a list of JSON numbers."""
+def _ckpt_edited(*keys, value):
+    """eval with a checkpoint whose blob[keys[0]][keys[1]]... is set to `value`."""
 
     def build(tmp_path, synth_dir, ckpt):
         blob = json.loads(ckpt.read_text())
-        if version == 1:
-            from freqfuse.model import load_checkpoint
-
-            blob["format_version"] = 1
-            for name, tensor in load_checkpoint(str(ckpt)).named().items():
-                blob["params"][name]["data"] = tensor.data.reshape(-1).tolist()
         *path, last = keys
         node = blob
         for key in path:
@@ -497,9 +489,15 @@ def _query_line_with_nan(tmp_path, synth_dir, ckpt):
     return _retrieve_args(synth_dir, queries)
 
 
+def _as_list(obj, key):
+    """Rewrite obj[key], a vector written as base64 text, as a list of numbers."""
+    obj[key] = np.frombuffer(base64.b64decode(obj[key]), "<f8").tolist()
+
+
 def _kb_line_with_nan(tmp_path, synth_dir, ckpt):
     lines = (synth_dir / "kb.jsonl").read_text().splitlines()
     obj = json.loads(lines[1])
+    _as_list(obj, "embedding")
     obj["embedding"][0] = float("nan")
     lines[1] = json.dumps(obj)
     kb = tmp_path / "nan-kb.jsonl"
@@ -562,9 +560,10 @@ def _line2_edited(kind, edit):
 
 def _vector_element(key, value):
     """Line 2 of the KB ("embedding") or the dataset (the feature vectors) with
-    its first vector element replaced by `value`."""
+    the vector rewritten as a list and its first element replaced by `value`."""
 
     def edit(obj):
+        _as_list(obj, key)
         obj[key][0] = value
 
     return _line2_edited("kb" if key == "embedding" else "dataset", edit)
@@ -683,8 +682,6 @@ def _out_dir_is_a_file(command):
         (_retrieve_flags(first="1.5"), EXIT_DATA),
         (_ckpt_edited("params", "cls.b3", "data", value="1.5"), EXIT_DATA),
         (_ckpt_edited("params", "cls.b3", "data", value=True), EXIT_DATA),
-        (_ckpt_edited("params", "cls.b3", "data", 0, value="1.5", version=1), EXIT_DATA),
-        (_ckpt_edited("params", "cls.b3", "data", 0, value=True, version=1), EXIT_DATA),
         (_answer_class(True), EXIT_DATA),
         (_question_tokens([True, 5]), EXIT_DATA),
         (_ckpt_edited("meta", "train_config", "batch_size", value=True), EXIT_DATA),
@@ -758,8 +755,6 @@ def _out_dir_is_a_file(command):
         "queries-element-string",
         "ckpt-param-string",
         "ckpt-param-true",
-        "ckpt-v1-param-element-string",
-        "ckpt-v1-param-element-true",
         "dataset-answer-class-true",
         "dataset-question-tokens-true",
         "ckpt-batch-size-true",
@@ -835,6 +830,49 @@ def test_malformed_checkpoint_data_exits_2_naming_the_param(data, synth_dir, kno
     assert len(err) == 1 and err[0].startswith("freqfuse: ") and "param cls.b3: " in err[0], err
 
 
+# a vector's base64 text made wrong, from its float64 values
+BAD_BASE64 = {
+    "outside-alphabet": lambda v: _b64(v)[:10] + "*" + _b64(v)[11:],
+    "bad-padding": lambda v: _b64(v)[:4] + "==" + _b64(v)[6:],
+    "byte-count": lambda v: _b64(v[:-1]),
+    "nan-bits": lambda v: _b64([np.nan, *v[1:]]),
+    "inf-bits": lambda v: _b64([*v[:-1], np.inf]),
+    "minus-inf-bits": lambda v: _b64([-np.inf, *v[1:]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BASE64))
+@pytest.mark.parametrize("key", ["image_features", "question_features", "embedding", "query"])
+def test_bad_base64_vector_exits_2_naming_its_line(key, case, synth_dir, knowledge_ckpt,
+                                                   tmp_path, capsys):
+    """A vector on line 2 of the dataset, the KB or a queries file whose base64
+    text is not `width` finite float64 values ends in one stderr line naming
+    the file and line, never a traceback."""
+    source = synth_dir / ("kb.jsonl" if key in ("embedding", "query") else "dataset.jsonl")
+    lines = source.read_text().splitlines()
+    obj = json.loads(lines[1])
+    field = "embedding" if key == "query" else key
+    values = np.frombuffer(base64.b64decode(obj[field]), "<f8").tolist()
+    bad_text = BAD_BASE64[case](values)
+    if key == "query":
+        bad = tmp_path / "queries.jsonl"
+        bad.write_text(json.dumps(json.loads(lines[0])["embedding"]) + "\n"
+                       + json.dumps(bad_text) + "\n")
+        argv, where = _retrieve_args(synth_dir, bad), "queries.jsonl line 2: "
+    else:
+        obj[field] = bad_text
+        lines[1] = json.dumps(obj)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = (_eval_args(synth_dir, knowledge_ckpt, bad) if key == "embedding" else
+                ["train", "--dataset", str(bad), "--out-dir", str(tmp_path / "out")])
+        where = f"bad.jsonl line 2: {key}: "
+    capsys.readouterr()
+    assert run(argv) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("freqfuse: ") and where in err[0], err
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "ablate", "eval", "retrieve", "spectrum"])
 def test_failed_write_exits_with_one_line(command, synth_dir, knowledge_ckpt, tmp_path,
                                           monkeypatch, capsys):
@@ -875,6 +913,7 @@ def test_bad_norms_are_named_by_line(synth_dir, tmp_path, capsys):
         assert f"q.jsonl line 2: {message}" in capsys.readouterr().err
     lines = (synth_dir / "kb.jsonl").read_text().splitlines()
     obj = json.loads(lines[2])
+    _as_list(obj, "embedding")
     obj["embedding"] = [1e300] * len(obj["embedding"])
     lines[2] = json.dumps(obj)
     kb = tmp_path / "big-kb.jsonl"

@@ -6,11 +6,12 @@ cuts and JSON value tokens, then run through `cli.main` in-process with
 `--workers 1`. Whatever the input, a run ends with a documented exit code
 (0 to 3) and at most one stderr line, and no exception escapes `main`.
 Semantic cases (edited headers and checkpoint meta, an out-dir that is a
-file, bad flag and config values) must exit with their documented code. No
-run starts a process: the inputs are far below the size that splits a
-knowledge-base load, and the trainer runs its fold jobs in-process.
+file, bad flag and config values, vectors whose base64 text is wrong) must
+exit with their documented code. No run starts a process: the trainer runs
+its fold jobs in-process.
 """
 
+import base64
 import json
 import multiprocessing.process
 import re
@@ -213,6 +214,25 @@ def _checkpoint_before_switch_removal(obj):
     )
 
 
+def _bad_base64(kind, key, case):
+    """Line 2 of the dataset or KB with the vector `key` as wrong base64 text:
+    a character outside the alphabet, padding in the middle, one value short,
+    or the bit pattern of NaN, +Inf or -Inf in its first value."""
+
+    def edit(obj):
+        text = obj[key]
+        values = np.frombuffer(base64.b64decode(text), "<f8").copy()
+        if case in ("nan", "inf", "minus-inf"):
+            values[0] = {"nan": np.nan, "inf": np.inf, "minus-inf": -np.inf}[case]
+        obj[key] = {
+            "alphabet": text[:10] + "*" + text[11:],
+            "padding": text[:4] + "==" + text[6:],
+            "byte-count": base64.b64encode(values[1:].tobytes()).decode(),
+        }.get(case, base64.b64encode(values.tobytes()).decode())
+
+    return _edited(kind, edit, lineno=2)
+
+
 def _kb_id_repeated(inputs, tmp_path):
     first = json.loads(inputs["kb"].read_text().splitlines()[0])["id"]
     return _edited("kb", lambda obj: obj.update(id=first), lineno=2)(inputs, tmp_path)
@@ -255,6 +275,10 @@ SEMANTIC = {
     "header-d-model-string": (_header(d_model="8"), EXIT_DATA),
     "eval-label-beyond-checkpoint-classes": (_label_beyond_checkpoint, EXIT_DATA),
     "kb-id-repeated": (_kb_id_repeated, EXIT_DATA),
+    **{f"{kind}-{key.split('_')[0]}-base64-{case}": (_bad_base64(kind, key, case), EXIT_DATA)
+       for kind, key in (("dataset", "image_features"), ("dataset", "question_features"),
+                         ("kb", "embedding"))
+       for case in ("alphabet", "padding", "byte-count", "nan", "inf", "minus-inf")},
     "ckpt-n-classes": (_meta(n_classes=3), EXIT_DATA),
     "ckpt-d-model": (_meta(d_model=16), EXIT_DATA),
     "ckpt-fusion-mode-freq-only": (_meta(fusion_mode="freq_only"), EXIT_DATA),
@@ -267,7 +291,7 @@ SEMANTIC = {
                             EXIT_DATA),
     **{f"ckpt-format-version-{name}": (
         _edited("checkpoint", lambda o, v=value: o.update(format_version=v)), EXIT_DATA)
-       for name, value in (("true", True), ("1.0", 1.0), ("2.0", 2.0))},
+       for name, value in (("1", 1), ("true", True), ("1.0", 1.0), ("2.0", 2.0))},
     "ckpt-tied-filters": (_edited("checkpoint", _tied_checkpoint), EXIT_DATA),
     "ckpt-before-switch-removal": (_edited("checkpoint", _checkpoint_before_switch_removal),
                                    EXIT_OK),

@@ -1,7 +1,7 @@
+import base64
 import errno
 import json
 import os
-from multiprocessing import active_children, get_context
 
 import numpy as np
 import pytest
@@ -46,6 +46,15 @@ def sample_line(i=0, cls=0, **overrides):
     }
     obj.update(overrides)
     return json.dumps(obj)
+
+
+def b64(values):
+    """Base64 text of `values` as little-endian float64 bytes, as written."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def from_b64(text):
+    return np.frombuffer(base64.b64decode(text), "<f8").astype(np.float64)
 
 
 def test_two_line_fixture_loads(tmp_path):
@@ -145,6 +154,63 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     assert np.array_equal(image_matrix(samples), image_matrix(s2))
     assert np.array_equal(question_matrix(samples), question_matrix(s2))
     assert np.array_equal(labels_array(samples), labels_array(s2))
+
+
+SPECIALS = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+
+
+def as_lists(path):
+    """Rewrite a written dataset or KB file with every vector as a JSON list."""
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    for obj in objs:
+        for key in ("image_features", "question_features", "embedding"):
+            if key in obj:
+                obj[key] = from_b64(obj[key]).tolist()
+    write_lines(path, [json.dumps(obj) for obj in objs])
+
+
+def assert_exact(arrays, want):
+    for got, expected in zip(arrays, want, strict=True):
+        assert got.dtype == np.float64 and got.dtype.isnative and got.flags.writeable
+        assert got.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
+
+
+def test_vectors_round_trip_bit_for_bit(tmp_path):
+    """Subnormals, -0.0, the extremes, 0.1 and 1/3 load bit for bit from base64
+    text and from the list twin of the same file. A KB row whose norm
+    overflows is rejected, so the KB holds every value but the largest."""
+    manifest = DatasetManifest(n_classes=2, d_model=6, feature_layout="precomputed")
+    question = np.resize(np.array(SPECIALS), TEXT_DIM)[::-1].copy()
+    samples = [Sample("s0", "i0", 1, np.array(SPECIALS), question_features=question)]
+    kb_rows = [np.array(SPECIALS[:3] + SPECIALS[4:] + [1.0]), -np.array(SPECIALS[4:] + [0.0] * 4)]
+    entries = [KnowledgeEntry(f"k{i}", "t", row) for i, row in enumerate(kb_rows)]
+    ds, kb = tmp_path / "d.jsonl", tmp_path / "kb.jsonl"
+    save_dataset(str(ds), manifest, samples)
+    save_knowledge_base(str(kb), entries)
+
+    def check():
+        loaded = load_dataset(str(ds))[1][0]
+        assert_exact([loaded.image_features, loaded.question_features], [SPECIALS, question])
+        assert_exact(list(load_knowledge_base(str(kb)).embeddings), kb_rows)
+
+    assert isinstance(json.loads(kb.read_text().splitlines()[0])["embedding"], str)
+    check()
+    as_lists(ds)
+    as_lists(kb)
+    assert isinstance(json.loads(kb.read_text().splitlines()[0])["embedding"], list)
+    check()
+
+
+def test_writers_reject_non_finite_vectors(tmp_path):
+    manifest = DatasetManifest(n_classes=2, d_model=2, feature_layout="precomputed")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_dataset(str(tmp_path / "d.jsonl"), manifest,
+                         [Sample("s", "i", 0, np.array([bad, 1.0]), question_tokens=[1])])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_knowledge_base(str(tmp_path / "kb.jsonl"),
+                                [KnowledgeEntry("k", "t", np.array([1.0, bad]))])
+    assert not os.listdir(tmp_path)
 
 
 def test_kb_round_trip_and_errors(tmp_path):
@@ -319,14 +385,11 @@ def kb_vectors(n, d=4, seed=0):
 
 
 @pytest.fixture
-def ranges_of(monkeypatch):
-    """Force a KB file into `count` byte ranges: `count` usable cores and a
-    one-byte chunk size."""
+def block_rows(monkeypatch):
+    """Set the rows the KB loader decodes and checks together."""
 
-    def force(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-        monkeypatch.setattr(data_mod, "_KB_CHUNK_BYTES", 1)
+    def force(rows):
+        monkeypatch.setattr(data_mod, "_KB_BLOCK_ROWS", rows)
 
     return force
 
@@ -336,7 +399,8 @@ def reference_columns(path):
     rows = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")
             if line.strip()]
     return ([r["id"] for r in rows], [r["text"] for r in rows],
-            np.stack([np.asarray(r["embedding"], dtype=np.float64) for r in rows]))
+            np.stack([from_b64(e) if isinstance(e, str) else np.asarray(e, dtype=np.float64)
+                      for e in (r["embedding"] for r in rows)]))
 
 
 def assert_same_columns(cols, ids, texts, embeddings):
@@ -347,27 +411,18 @@ def assert_same_columns(cols, ids, texts, embeddings):
     assert cols.embeddings.tobytes() == embeddings.tobytes()
 
 
-def test_kb_ranges_bit_identical_to_in_process(tmp_path, ranges_of):
+def test_kb_load_bit_identical_to_line_parse(tmp_path, block_rows):
+    # lists and base64 text mixed, blank lines, "\r\n" endings, no trailing
+    # newline, and blocks that end mid-file
     vecs = kb_vectors(40)
-    lines = [kb_line(i, v) for i, v in enumerate(vecs)]
+    lines = [kb_line(i, b64(v) if i % 3 else v) for i, v in enumerate(vecs)]
     lines[5:5] = ["", "   "]
-    body = "\n".join(lines[:20]) + "\n" + "\r\n".join(lines[20:])  # no trailing newline
-    # pad the first text so that a line starts exactly at the middle byte, where
-    # the cut between two ranges is sought
-    pad = len(body) - 2 * body.index(lines[10])
-    body = body.replace("entry 0", "entry 0" + "x" * pad, 1)
+    body = "\n".join(lines[:20]) + "\n" + "\r\n".join(lines[20:])
     p = tmp_path / "kb.jsonl"
     p.write_bytes(body.encode())
-    raw = p.read_bytes()
-    assert raw[len(raw) // 2 - 1:len(raw) // 2] == b"\n"
-
-    in_process = load_knowledge_base(str(p))
-    assert len(data_mod._kb_ranges(str(p))) == 1
     expected = reference_columns(p)
-    assert_same_columns(in_process, *expected)
-    for count in (2, 3):
-        ranges_of(count)
-        assert len(data_mod._kb_ranges(str(p))) == count
+    for rows in (1024, 7, 1):
+        block_rows(rows)
         assert_same_columns(load_knowledge_base(str(p)), *expected)
         assert_same_columns(load_knowledge_base(str(p), d_model=4), *expected)
 
@@ -390,134 +445,85 @@ def nan_first_value(line):
     return line[:start] + "NaN".ljust(end - start) + line[end:]
 
 
-# each fault keeps the line's length, so the cut between ranges does not move
+def nan_bits(line):
+    obj = json.loads(line)
+    obj["embedding"] = b64([np.nan] + obj["embedding"][1:])
+    return json.dumps(obj)
+
+
 KB_FAULTS = {
     "missing-key": (lambda line: line.replace('"embedding"', '"embeddinX"'),
                     "missing required key 'embedding'"),
     "nan": (nan_first_value, "expected 4 finite numbers"),
+    "nan-bits": (nan_bits, "expected 4 finite numbers"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(KB_FAULTS))
 @pytest.mark.parametrize("side", ["before", "after"])
-def test_kb_fault_at_a_cut_names_its_file_line(tmp_path, ranges_of, fault, side):
+def test_kb_fault_at_a_cut_names_its_file_line(tmp_path, block_rows, fault, side):
+    # the cut between the loader's first two blocks of 8 rows; line 3 is blank
     lines = [kb_line(i, v) for i, v in enumerate(kb_vectors(30))]
-    p = tmp_path / "kb.jsonl"
-    write_lines(p, lines)
-    ranges_of(2)
-    (_, cut), _ = data_mod._kb_ranges(str(p))
-    # the line that ends at the cut, or the one that starts there
-    lineno = p.read_bytes()[:cut].count(b"\n") + (1 if side == "after" else 0)
+    lines[2:2] = [""]
+    block_rows(8)
+    # the line of the first block's last row, or of the second block's first
+    lineno = 9 if side == "before" else 10
     corrupt, message = KB_FAULTS[fault]
     lines[lineno - 1] = corrupt(lines[lineno - 1])
+    p = tmp_path / "kb.jsonl"
     write_lines(p, lines)
-    assert data_mod._kb_ranges(str(p))[0][1] == cut
     with pytest.raises(DataError, match=rf"line {lineno}: .*{message}"):
         load_knowledge_base(str(p))
 
 
-@pytest.mark.parametrize("count", [1, 2])
-def test_kb_earliest_fault_wins(tmp_path, ranges_of, count):
+@pytest.mark.parametrize("rows", [1, 2])
+def test_kb_earliest_fault_wins(tmp_path, block_rows, rows):
+    # line 3 has zero norm and line 4 is not JSON. In blocks of 1 row, line 3
+    # is checked before line 4 is read; in blocks of 2 it is still pending
+    # when line 4 fails, and is checked then
     lines = [kb_line(i, v) for i, v in enumerate(kb_vectors(10))]
-    lines[2] = kb_line(2, [0.0, 0.0, 0.0, 0.0])
-    lines[6] = "{not json"
+    lines[2] = kb_line(2, b64([0.0, 0.0, 0.0, 0.0]))
+    lines[3] = "{not json"
     p = tmp_path / "kb.jsonl"
     write_lines(p, lines)
-    ranges_of(count)
-    assert len(data_mod._kb_ranges(str(p))) == count
+    block_rows(rows)
     with pytest.raises(DataError, match="line 3: embedding has zero norm"):
         load_knowledge_base(str(p))
 
 
-@pytest.mark.parametrize("count", [1, 2])
-def test_kb_width_fixed_by_first_non_blank_line(tmp_path, ranges_of, count):
-    # line 1 is blank to str.strip (U+0085); from the second range on, every
-    # row is one value narrower than the first non-blank line
-    lines = ["\x85 "] + [kb_line(i, v) for i, v in enumerate(kb_vectors(9))]
+@pytest.mark.parametrize("blank", [1, 2])
+def test_kb_width_fixed_by_first_non_blank_line(tmp_path, blank):
+    # leading lines blank to str.strip (U+0085), then rows of 4 values, then
+    # from line 6 on rows one value narrower
+    lines = ["\x85 "] * blank + [kb_line(i, v) for i, v in enumerate(kb_vectors(9))]
+    for i in range(5, len(lines)):
+        lines[i] = kb_line(i, [1.0, 2.0, 3.0])
     p = tmp_path / "kb.jsonl"
     write_lines(p, lines)
-    ranges_of(2)
-    (_, cut), _ = data_mod._kb_ranges(str(p))
-    narrow = p.read_bytes()[:cut].count(b"\n") + 1
-    for i in range(narrow - 1, len(lines)):  # same length, so the cut stays
-        pad = len(lines[i]) - len(kb_line(i, [1.0, 2.0, 3.0], text="-"))
-        lines[i] = kb_line(i, [1.0, 2.0, 3.0], text="-" * (pad + 1))
+    with pytest.raises(DataError, match="line 6: embedding: expected a list of 4 numbers"):
+        load_knowledge_base(str(p))
+    lines[5] = kb_line(5, b64([1.0, 2.0, 3.0]))
     write_lines(p, lines)
-    assert data_mod._kb_ranges(str(p))[0][1] == cut
-    ranges_of(count)
-    assert len(data_mod._kb_ranges(str(p))) == count
-    with pytest.raises(DataError, match=f"line {narrow}: embedding: expected a list of 4 numbers"):
+    with pytest.raises(DataError, match="line 6: embedding: expected 4 numbers, got 3"):
         load_knowledge_base(str(p))
 
 
-@pytest.mark.parametrize("faulty", [0, 2])
-def test_kb_load_reaps_its_workers_on_a_fault(tmp_path, ranges_of, faulty):
-    lines = [kb_line(i, v) for i, v in enumerate(kb_vectors(30))]
+def test_kb_width_from_a_base64_first_line(tmp_path):
+    vecs = kb_vectors(3, d=5)
     p = tmp_path / "kb.jsonl"
-    write_lines(p, lines)
-    ranges_of(3)
-    ranges = data_mod._kb_ranges(str(p))
-    # the second line of the faulty range, and the last line of the file
-    lineno = p.read_bytes()[: ranges[faulty][0]].count(b"\n") + 2
-    corrupt, message = KB_FAULTS["missing-key"]
-    for i in (lineno, len(lines)):
-        lines[i - 1] = corrupt(lines[i - 1])
-    write_lines(p, lines)
-    assert data_mod._kb_ranges(str(p)) == ranges
-    with pytest.raises(DataError, match=f"line {lineno}: {message}"):
-        load_knowledge_base(str(p))
-    assert active_children() == []
-
-
-def test_kb_load_reaps_its_workers_on_an_interrupt(tmp_path, ranges_of, monkeypatch):
-    p = tmp_path / "kb.jsonl"
-    write_lines(p, [kb_line(i, v) for i, v in enumerate(kb_vectors(30))])
-    ranges_of(3)
-
-    def interrupted(*args):
-        raise KeyboardInterrupt
-
-    # only this process's own range is patched; the spawned ones parse as usual
-    monkeypatch.setattr(data_mod, "_parse_kb_range", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        load_knowledge_base(str(p))
-    assert active_children() == []
-
-
-def _worker_dies_midway(conn, path, start, end, dim):
-    """Runs in a spawned KB worker: sends its ids and texts, writes half of
-    its rows' bytes, then exits with code 3."""
-    out = np.empty((1 + data_mod._kb_newlines(path, start, end), dim))
-    part = data_mod._parse_kb_range(path, start, end, out)
-    conn.send(part)
-    os.write(conn.fileno(), out[: len(part[0])].tobytes()[: len(part[0]) * dim * 4])
-    os._exit(3)
-
-
-def test_kb_worker_that_dies_midway_is_a_data_error(tmp_path, ranges_of, monkeypatch):
-    p = tmp_path / "kb.jsonl"
-    write_lines(p, [kb_line(i, v) for i, v in enumerate(kb_vectors(30))])
-    ranges_of(2)
-    monkeypatch.setattr(data_mod, "_kb_range_worker", _worker_dies_midway)
-    with pytest.raises(DataError, match="a parsing process ended with exit code 3"):
-        load_knowledge_base(str(p))
-    assert active_children() == []
-
-
-def _load_with_ranges_forced(path):
-    """Runs in a daemonic pool worker: forces several ranges, then loads."""
-    data_mod._KB_CHUNK_BYTES = 1
-    os.sched_getaffinity = lambda pid: {0, 1, 2}
-    return len(data_mod._kb_ranges(path)), load_knowledge_base(path)
-
-
-def test_kb_load_in_daemonic_process_stays_in_process(tmp_path):
-    p = tmp_path / "kb.jsonl"
-    write_lines(p, [kb_line(i, v) for i, v in enumerate(kb_vectors(12))])
-    with get_context("spawn").Pool(1) as pool:  # pool workers are daemonic
-        count, cols = pool.apply_async(_load_with_ranges_forced, (str(p),)).get(timeout=120)
-    assert count == 1
-    assert_same_columns(cols, *reference_columns(p))
+    write_lines(p, [kb_line(0, b64(vecs[0]))] + [kb_line(i, v) for i, v in enumerate(vecs)][1:])
+    cols = load_knowledge_base(str(p))
+    assert cols.embeddings.shape == (3, 5)
+    assert cols.embeddings.tobytes() == np.array(vecs).tobytes()
+    # a first line whose text is not whole float64 values fixes no width; its
+    # own parse names it
+    for text, message in ((base64.b64encode(bytes(7)).decode(), "got 7 bytes"),
+                          ("AAAA*AAA", "base64 text"),
+                          ("", "must be base64 text or a non-empty list")):
+        write_lines(p, [kb_line(0, text), kb_line(1, vecs[1])])
+        assert data_mod._first_width(str(p)) is None
+        with pytest.raises(DataError, match=f"line 1: embedding.*{message}"):
+            load_knowledge_base(str(p))
 
 
 def test_knowledge_base_from_list_equals_from_loaded_columns(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from freqfuse import model
-from freqfuse.data import DatasetManifest, KnowledgeEntry, _float_list
+from freqfuse.data import DatasetManifest, KnowledgeEntry
 from freqfuse.errors import ConfigError, ContractError, DataError
 from freqfuse.kernel import Tensor
 from freqfuse.model import (
@@ -269,20 +269,8 @@ def test_param_shapes_match_the_built_model(manifest, mode):
     ]
 
 
-def save_v1_checkpoint(path, params):
-    """A version-1 checkpoint of `params`: each tensor's data is a flat list
-    of JSON numbers, as save_checkpoint wrote before version 2."""
-    save_checkpoint(str(path), params)
-    blob = json.loads(path.read_text())
-    blob["format_version"] = 1
-    for name, tensor in params.named().items():
-        blob["params"][name]["data"] = tensor.data.reshape(-1).tolist()
-    path.write_text(json.dumps(blob, allow_nan=False))
-
-
-def test_checkpoint_bytes_are_exact_in_both_versions(tmp_path):
-    """Subnormals, -0.0, the extremes and values at 10^+-300 load bit for bit
-    from a version-2 file and from a version-1 file of the same parameters."""
+def test_checkpoint_bytes_are_exact(tmp_path):
+    """Subnormals, -0.0, the extremes and values at 10^+-300 load bit for bit."""
     params = init_model_params(VIT, fusion_mode="freq_plus_knowledge", hidden1=16, hidden2=8,
                                dropout=0.1, seed=4)
     rng = named_stream(4, "test-ckpt-bits")
@@ -292,14 +280,12 @@ def test_checkpoint_bytes_are_exact_in_both_versions(tmp_path):
         tensor.data = rng.standard_normal(tensor.shape) * 10.0 ** rng.integers(-300, 300,
                                                                               tensor.shape)
         tensor.data.reshape(-1)[: len(specials)] = specials[: tensor.size]
-    v2, v1 = tmp_path / "v2.ckpt.json", tmp_path / "v1.ckpt.json"
-    save_checkpoint(str(v2), params)
-    save_v1_checkpoint(v1, params)
-    assert json.loads(v2.read_text())["format_version"] == 2
-    for path in (v2, v1):
-        for name, tensor in load_checkpoint(str(path)).named().items():
-            assert tensor.data.tobytes() == params.named()[name].data.tobytes(), (path, name)
-            assert tensor.data.flags.writeable, (path, name)
+    path = tmp_path / "model.ckpt.json"
+    save_checkpoint(str(path), params)
+    assert json.loads(path.read_text())["format_version"] == 2
+    for name, tensor in load_checkpoint(str(path)).named().items():
+        assert tensor.data.tobytes() == params.named()[name].data.tobytes(), name
+        assert tensor.data.flags.writeable, name
 
 
 _SEVEN = ", 0.0" * 7
@@ -325,22 +311,16 @@ _SEVEN = ", 0.0" * 7
     ],
 )
 def test_hook_parsed_checkpoint_keeps_data_errors(tmp_path, data):
-    """A version-1 tensor's data (cls.b2 holds 8 numbers) loads, or fails
-    with `_float_list`'s message, as the list parsed without the hook does."""
+    """Tensor data (cls.b2 holds 8 numbers) that is not base64 text, such as
+    the lists of JSON numbers that version 1 stored, passes the parse-time
+    hook untouched and fails as one DataError naming the parameter."""
     path = tmp_path / "model.ckpt.json"
-    save_v1_checkpoint(path, tiny_params())
+    save_checkpoint(str(path), tiny_params())
     blob = json.loads(path.read_text())
     blob["params"]["cls.b2"]["data"] = "DATA"
     path.write_text(json.dumps(blob).replace('"DATA"', data))
-    where = f"checkpoint {path} param cls.b2"
-    try:
-        want = _float_list(json.loads(data), 8, where)
-    except DataError as exc:
-        with pytest.raises(DataError) as got:
-            load_checkpoint(str(path))
-        assert str(got.value) == str(exc)
-    else:
-        assert np.array_equal(load_checkpoint(str(path)).cls.b2.data, want)
+    with pytest.raises(DataError, match=f"checkpoint {path} param cls.b2: expected base64 text"):
+        load_checkpoint(str(path))
 
 
 def _b64(values) -> str:
@@ -366,7 +346,7 @@ _EIGHT = _b64(np.arange(8.0))
         (_b64([np.nan] + [0.0] * 7), "expected 8 finite numbers"),
         (_b64([0.0] * 7 + [np.inf]), "expected 8 finite numbers"),
         (_b64([-np.inf] + [0.0] * 7), "expected 8 finite numbers"),
-        ([0.0] * 8, "expected base64 text"),  # a version-1 list in a version-2 file
+        ([0.0] * 8, "expected base64 text"),  # a list, as version 1 stored
         (True, "expected base64 text"),
         (None, "expected base64 text"),
         ({"shape": [8], "data": _EIGHT}, "expected base64 text"),
@@ -396,7 +376,7 @@ def test_version_1_file_with_base64_data_is_rejected(tmp_path):
     blob = json.loads(path.read_text())
     blob["format_version"] = 1
     path.write_text(json.dumps(blob))
-    with pytest.raises(DataError, match="param proj.w_t: expected a list of 2400 numbers"):
+    with pytest.raises(DataError, match=r"^checkpoint format 1 unsupported \(expected 2\)$"):
         load_checkpoint(str(path))
 
 

@@ -25,8 +25,15 @@
 # change of file format alone reads "same parameters and meta"; otherwise the
 # script names each tensor whose loaded bytes, dtype or shape differ, e.g.
 #   differs: train/fold0.ckpt.json: tensors differ: cls.b3
-# For a .out, .csv or .jsonl file on both sides it prints the first 20 lines
-# of `diff -u PARENT CHANGE` below the name.
+# Likewise a dataset or knowledge base (data/*.jsonl) is loaded by each tree's
+# own load_dataset or load_knowledge_base, so a change of vector encoding
+# alone reads "same loaded arrays"; otherwise the script names the header or
+# the sample and entry columns whose loaded values differ, e.g.
+#   differs: data/kb.jsonl: loaded values differ: embeddings
+# The retrieve queries are each KB's loaded embeddings, written as JSON
+# number lists by the same code in both trees. For any other .out, .csv or
+# .jsonl file on both sides it prints the first 20 lines of
+# `diff -u PARENT CHANGE` below the name.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -64,9 +71,10 @@ run_tree() {
         --out-dir ablate_workers --fold 0 --workers 2 "${SMALL[@]}"
     step eval eval --dataset data/dataset.jsonl --kb data/kb.jsonl \
         --checkpoint train/fold0.ckpt.json
-    python3 -c 'import json, sys
-for line in open("data/kb.jsonl"):
-    print(json.dumps(json.loads(line)["embedding"]))' >queries.jsonl
+    PYTHONPATH="$src" python3 -c 'import json
+from freqfuse import data
+for entry in data.load_knowledge_base("data/kb.jsonl"):
+    print(json.dumps([float(v) for v in entry.embedding]))' >queries.jsonl
     step retrieve retrieve --kb data/kb.jsonl --queries queries.jsonl --k 2
     # a KB large enough for block-max top-k to prune: the synthetic entries,
     # 20,000 seeded distractors, and copies of each prototype scaled by 2, 4
@@ -170,27 +178,69 @@ with open(sys.argv[1], encoding="utf-8") as fh:
 PY
 }
 
-# ckpt_diff PARENT_FILE CHANGE_FILE: the tensors, or the meta, that tell two
-# checkpoints apart, each loaded by its own tree
-ckpt_diff() {
-    local parent change
-    parent=$(ckpt_tensors "$parent_src" "$1" 2>/dev/null) || parent="error PARENT cannot load it"
-    change=$(ckpt_tensors "$change_src" "$2" 2>/dev/null) || change="error CHANGE cannot load it"
-    python3 - "$parent" "$change" <<'PY'
+# loaded_inputs SRC FILE: a dataset (its first line holds "meta") or a KB as
+# SRC's loader reads it, one "name sha256" line per header or column
+loaded_inputs() {
+    PYTHONPATH="$1" python3 - "$2" <<'PY'
+import hashlib
+import json
 import sys
 
-sides = [dict(line.split(" ", 1) for line in text.splitlines()) for text in sys.argv[1:]]
+import numpy as np
+
+from freqfuse import data
+
+def digest(value):
+    raw = value.tobytes() if isinstance(value, np.ndarray) else json.dumps(value).encode()
+    return hashlib.sha256(raw).hexdigest()
+
+path = sys.argv[1]
+with open(path, encoding="utf-8") as fh:
+    is_dataset = "meta" in json.loads(fh.readline())
+if is_dataset:
+    manifest, samples = data.load_dataset(path)
+    columns = {"header": [manifest.n_classes, manifest.d_model, manifest.feature_layout],
+               "ids": [[s.sample_id, s.image_id, s.answer_class] for s in samples],
+               "image_features": data.image_matrix(samples),
+               "question_features": data.question_matrix(samples),
+               "question_tokens": [s.question_tokens for s in samples]}
+else:
+    kb = data.load_knowledge_base(path)
+    columns = {"ids": kb.ids, "texts": kb.texts, "embeddings": kb.embeddings}
+for name, value in columns.items():
+    print(name, digest(value))
+PY
+}
+
+# loaded_diff KIND PARENT_FILE CHANGE_FILE: the tensors or meta (KIND ckpt),
+# or the loaded columns (KIND inputs), that tell two files apart, each loaded
+# by its own tree
+loaded_diff() {
+    local reader=ckpt_tensors same="same parameters and meta" parent change
+    if [ "$1" = inputs ]; then
+        reader=loaded_inputs same="same loaded arrays"
+    fi
+    parent=$("$reader" "$parent_src" "$2" 2>/dev/null) || parent="error PARENT cannot load it"
+    change=$("$reader" "$change_src" "$3" 2>/dev/null) || change="error CHANGE cannot load it"
+    python3 - "$1" "$same" "$parent" "$change" <<'PY'
+import sys
+
+kind, same = sys.argv[1:3]
+sides = [dict(line.split(" ", 1) for line in text.splitlines()) for text in sys.argv[3:]]
 errors = [side["error"] for side in sides if "error" in side]
 if errors:
     print(": " + "; ".join(errors), end="")
     sys.exit()
 parent, change = sides
 differ = [name for name in {**parent, **change} if parent.get(name) != change.get(name)]
-tensors = [name for name in differ if name != "meta"]
-parts = [f"tensors differ: {', '.join(tensors)}"] if tensors else []
-if "meta" in differ:
-    parts.append("meta differs")
-print(": " + "; ".join(parts or ["same parameters and meta"]), end="")
+if kind == "inputs":
+    parts = [f"loaded values differ: {', '.join(differ)}"] if differ else []
+else:
+    tensors = [name for name in differ if name != "meta"]
+    parts = [f"tensors differ: {', '.join(tensors)}"] if tensors else []
+    if "meta" in differ:
+        parts.append("meta differs")
+print(": " + "; ".join(parts or [same]), end="")
 PY
 }
 
@@ -201,14 +251,17 @@ for rel in $files; do
         elif [ ! -f "$work/parent/$rel" ]; then
             detail=": file only in CHANGE"
         elif [[ $rel == *.ckpt.json ]]; then
-            detail=$(ckpt_diff "$work/parent/$rel" "$work/change/$rel")
+            detail=$(loaded_diff ckpt "$work/parent/$rel" "$work/change/$rel")
+        elif [[ $rel == data/*.jsonl ]]; then
+            detail=$(loaded_diff inputs "$work/parent/$rel" "$work/change/$rel")
         elif [[ $rel == *.json ]]; then
             detail=$(json_diff "$work/parent/$rel" "$work/change/$rel")
         else
             detail=""
         fi
         echo "differs: $rel$detail"
-        if [[ -f $work/parent/$rel && -f $work/change/$rel && $rel =~ \.(out|csv|jsonl)$ ]]; then
+        if [[ -f $work/parent/$rel && -f $work/change/$rel && $rel =~ \.(out|csv|jsonl)$
+              && $rel != data/*.jsonl ]]; then
             # diff exits 1 on a difference, and head may cut its output short
             diff -u --label "PARENT/$rel" --label "CHANGE/$rel" \
                 "$work/parent/$rel" "$work/change/$rel" | head -n 20 || true
