@@ -14,16 +14,17 @@ correctly reports nothing.
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .data import DatasetManifest
+from .data import TEXT_DIM, VIT_DIM, DatasetManifest
 from .errors import DimensionError
 from .fusion import co_select, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor, dft_magnitude
 from .kernel import ops
-from .losses import cross_entropy, info_nce, total_loss, augment
+from .losses import TAU_INTRA, _objective, cross_entropy, info_nce
 from .model import classify, forward_batch, init_classifier_params, init_model_params
 from .rng import named_stream
 
@@ -99,8 +100,12 @@ _SINGLE_OPS = (
     ("projection", "gc-proj", (("x", (3, 6)), ("w", (4, 6)), ("b", (4,))), ops.linear),
     ("matmul_nt", "gc-mm", (("a", (3, 5)), ("b", (4, 5))), ops.matmul_nt),
     ("dft_magnitude", "gc-dft", (("x", (3, 8)),), dft_magnitude),
+    ("layernorm", "gc-ln", (("x", (3, 8)), ("gain", (8,)), ("shift", (8,))), ops.layernorm),
     ("gelu", "gc-gelu", (("x", (3, 8)),), ops.gelu),
     ("sigmoid", "gc-sig", (("x", (3, 8)),), ops.sigmoid),
+    ("cross_entropy", "gc-ce", (("logits", (3, 4)),),
+     partial(cross_entropy, labels=np.array([1, 0, 3]))),
+    ("info_nce", "gc-nce", (("x", (3, 5)), ("y", (3, 5))), partial(info_nce, tau=TAU_INTRA)),
 )
 _SINGLE = {name: _single_op_suite(stream, leaves, op) for name, stream, leaves, op in _SINGLE_OPS}
 
@@ -136,19 +141,6 @@ def _suite_fusion_stage(seed: int) -> float:
     leaves = {"t": t, "v": v}
     leaves.update(params.named())
     return finite_difference_check(build, leaves)
-
-
-def _suite_layernorm(seed: int) -> float:
-    rng = named_stream(seed, "gc-ln")
-    x = Tensor(rng.standard_normal((3, 8)))
-    gain = Tensor(1.0 + 0.1 * rng.standard_normal(8))
-    shift = Tensor(0.1 * rng.standard_normal(8))
-    return finite_difference_check(
-        lambda tape: _weighted_scalar(
-            ops.layernorm(x, gain, shift, tape), named_stream(seed, "gc-ln-w"), tape
-        ),
-        {"x": x, "gain": gain, "shift": shift},
-    )
 
 
 def _suite_dropout(seed: int) -> float:
@@ -192,37 +184,21 @@ def _suite_mlp_classifier(seed: int) -> float:
     return finite_difference_check(build, leaves)
 
 
-def _suite_cross_entropy(seed: int) -> float:
-    rng = named_stream(seed, "gc-ce")
-    logits = Tensor(rng.standard_normal((3, 4)))
-    labels = np.array([1, 0, 3])
-    return finite_difference_check(
-        lambda tape: cross_entropy(logits, labels, tape), {"logits": logits}
-    )
-
-
-def _suite_info_nce(seed: int) -> float:
-    rng = named_stream(seed, "gc-nce")
-    x = Tensor(rng.standard_normal((3, 5)))
-    y = Tensor(rng.standard_normal((3, 5)))
-    return finite_difference_check(
-        lambda tape: info_nce(x, y, 0.07, tape), {"x": x, "y": y}
-    )
-
-
 def _suite_full_pipeline(seed: int) -> float:
-    """Projection -> fusion -> classifier -> CE plus contrastive terms.
+    """Projections -> fusion -> classifier -> the training objective.
 
-    Runs in freq_only mode: retrieval is detached by design, so a pipeline
-    with knowledge fusion would correctly disagree with finite differences.
+    Runs on the vit layout, so the image-side terms reach a parameter
+    (proj.b_v), and in freq_only mode: retrieval is detached by design, so a
+    pipeline with knowledge fusion would correctly disagree with finite
+    differences.
     """
-    manifest = DatasetManifest(n_classes=3, d_model=8, feature_layout="precomputed")
+    manifest = DatasetManifest(n_classes=3, d_model=8, feature_layout="vit")
     params = init_model_params(
         manifest, fusion_mode="freq_only", hidden1=6, hidden2=5, dropout=0.1, seed=seed
     )
     rng = named_stream(seed, "gc-pipe")
-    questions = rng.standard_normal((3, 300))
-    images = rng.standard_normal((3, 8))
+    questions = rng.standard_normal((3, TEXT_DIM))
+    images = rng.standard_normal((3, VIT_DIM))
     labels = np.array([0, 1, 2])
 
     def build(tape):
@@ -235,13 +211,7 @@ def _suite_full_pipeline(seed: int) -> float:
             rng=named_stream(seed, "gc-pipe-drop"),
             tape=tape,
         )
-        ce = cross_entropy(fwd.logits, labels, tape)
-        aug_rng = named_stream(seed, "gc-pipe-aug")
-        t_aug = augment(fwd.t, aug_rng, tape)
-        intra_t = info_nce(fwd.t, t_aug, 0.07, tape)
-        intra_v = Tensor(0.0)
-        cross = info_nce(fwd.t, fwd.v, 0.05, tape)
-        total, _ = total_loss(ce, intra_t, intra_v, cross, tape)
+        total, _ = _objective(fwd, labels, True, named_stream(seed, "gc-pipe-aug"), tape)
         return total
 
     named = params.named()
@@ -249,6 +219,7 @@ def _suite_full_pipeline(seed: int) -> float:
         name: named[name]
         for name in (
             "proj.b_t",
+            "proj.b_v",
             "fusion.w_filter_text",
             "fusion.w_gate_text",
             "fusion.b_gate_image",
@@ -275,14 +246,14 @@ ALL_SUITES: list[tuple[str, Callable[[int], float]]] = [
     ("dft_magnitude", _SINGLE["dft_magnitude"]),
     ("co_select_gates", _suite_gates),
     ("fusion_stage", _suite_fusion_stage),
-    ("layernorm", _suite_layernorm),
+    ("layernorm", _SINGLE["layernorm"]),
     ("gelu", _SINGLE["gelu"]),
     ("sigmoid", _SINGLE["sigmoid"]),
     ("dropout", _suite_dropout),
     ("norm_pool_arith", _suite_mean_mul_norms),
     ("mlp_classifier", _suite_mlp_classifier),
-    ("cross_entropy", _suite_cross_entropy),
-    ("info_nce", _suite_info_nce),
+    ("cross_entropy", _SINGLE["cross_entropy"]),
+    ("info_nce", _SINGLE["info_nce"]),
     ("full_pipeline", _suite_full_pipeline),
 ]
 

@@ -6,7 +6,8 @@ The total objective is
     total = ce + INTRA_WEIGHT * (intra_text + intra_image) / 2 + CROSS_WEIGHT * cross
 
 with fixed contrastive temperatures (0.07 intra-modal, 0.05 cross-modal) and
-fixed weights 0.3 / 0.7.
+fixed weights 0.3 / 0.7. `_objective` is the one place these terms are built
+from a forward pass and combined; training and the gradient check both call it.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from .errors import ContractError, DegenerateInputError
 from .kernel import GradTape, Tensor
 from .kernel import ops
 from .kernel.tensor import _op_output
+from .model import ForwardResult
 
 INTRA_WEIGHT = 0.3
 CROSS_WEIGHT = 0.7
@@ -108,3 +110,23 @@ def total_loss(
         total=float(total.data),
     )
     return total, breakdown
+
+
+def _objective(
+    fwd: ForwardResult, labels: np.ndarray, contrastive: bool, rng: np.random.Generator,
+    tape: GradTape | None = None,
+) -> tuple[Tensor, LossBreakdown]:
+    """The training loss of one forward pass: cross entropy, plus with
+    `contrastive` on each view's InfoNCE against its augmentation (text, then
+    image, both drawn from rng) and the text-image InfoNCE. With it off the
+    contrastive terms are 0."""
+    ce = cross_entropy(fwd.logits, labels, tape)
+    if contrastive:
+        t_aug = augment(fwd.t, rng, tape)
+        v_aug = augment(fwd.v, rng, tape)
+        intra_t = info_nce(fwd.t, t_aug, TAU_INTRA, tape)
+        intra_v = info_nce(fwd.v, v_aug, TAU_INTRA, tape)
+        cross = info_nce(fwd.t, fwd.v, TAU_CROSS, tape)
+    else:
+        intra_t = intra_v = cross = Tensor(0.0)
+    return total_loss(ce, intra_t, intra_v, cross, tape)

@@ -28,8 +28,8 @@ from .data import (
     usable_cores,
 )
 from .errors import ConfigError, NumericError
-from .kernel import AdamState, GradTape, Tensor, adam_step, ops
-from .losses import TAU_CROSS, TAU_INTRA, augment, cross_entropy, info_nce, total_loss
+from .kernel import AdamState, GradTape, adam_step, ops
+from .losses import LossBreakdown, _objective
 from .model import FUSION_MODES, ForwardOptions, ModelParams, forward_batch, init_model_params
 from .retrieval import SIMILARITIES, TOP_K, KnowledgeBase
 from .rng import named_stream
@@ -259,6 +259,39 @@ def _clip_gradients(grad: np.ndarray, clip_norm: float) -> None:
         grad *= clip_norm / total
 
 
+def _train_step(
+    params: ModelParams, state: AdamState, questions: np.ndarray, images: np.ndarray,
+    labels: np.ndarray, kb: KnowledgeBase | None, config: TrainConfig, lr: float, step: int,
+    where: tuple[int, int, int],
+) -> LossBreakdown:
+    """One Adam step (number `step`) on a batch, at `where` = (fold, epoch,
+    batch): forward with the batch's dropout stream, the objective with its
+    augment stream, backward, clipping and the update."""
+    fold, epoch, batch_no = where
+    tape = GradTape()
+    try:
+        fwd = forward_batch(
+            params, questions, images, kb, train=True,
+            rng=named_stream(config.seed, "dropout", *where), tape=tape,
+            options=config.forward_options(),
+        )
+        total, breakdown = _objective(
+            fwd, labels, config.contrastive, named_stream(config.seed, "augment", *where), tape
+        )
+        if not np.isfinite(total.data):
+            raise NumericError(f"loss value is {float(total.data)}")
+        state.zero_grad()
+        tape.backward(total)
+        _clip_gradients(state.grad, config.clip_norm)
+        adam_step(params.named(), state, lr=lr, weight_decay=WEIGHT_DECAY, t=step)
+    except NumericError as exc:
+        # locate numeric blow-ups so long runs fail with context
+        raise NumericError(
+            f"training step at epoch {epoch} batch {batch_no} (fold {fold}): {exc}"
+        ) from exc
+    return breakdown
+
+
 def train_fold(
     manifest: DatasetManifest,
     samples: list[Sample],
@@ -287,7 +320,6 @@ def train_fold(
     )
     named = params.named()
     state = AdamState(named)
-    options = config.forward_options()
     val_questions, val_images, val_labels = questions[val_idx], images[val_idx], labels[val_idx]
 
     best_acc = -1.0
@@ -307,44 +339,11 @@ def train_fold(
         contrast_sum = 0.0
         for batch_no, start in enumerate(range(0, len(shuffled), config.batch_size)):
             idx = shuffled[start : start + config.batch_size]
-            tape = GradTape()
-            drop_rng = named_stream(config.seed, "dropout", fold, epoch, batch_no)
-            try:
-                fwd = forward_batch(
-                    params,
-                    questions[idx],
-                    images[idx],
-                    kb,
-                    train=True,
-                    rng=drop_rng,
-                    tape=tape,
-                    options=options,
-                )
-                ce = cross_entropy(fwd.logits, labels[idx], tape)
-                if config.contrastive:
-                    aug_rng = named_stream(config.seed, "augment", fold, epoch, batch_no)
-                    t_aug = augment(fwd.t, aug_rng, tape)
-                    v_aug = augment(fwd.v, aug_rng, tape)
-                    intra_t = info_nce(fwd.t, t_aug, TAU_INTRA, tape)
-                    intra_v = info_nce(fwd.v, v_aug, TAU_INTRA, tape)
-                    cross = info_nce(fwd.t, fwd.v, TAU_CROSS, tape)
-                else:
-                    intra_t = Tensor(0.0)
-                    intra_v = Tensor(0.0)
-                    cross = Tensor(0.0)
-                total, breakdown = total_loss(ce, intra_t, intra_v, cross, tape)
-                if not np.isfinite(total.data):
-                    raise NumericError(f"loss value is {float(total.data)}")
-                state.zero_grad()
-                tape.backward(total)
-                _clip_gradients(state.grad, config.clip_norm)
-                step += 1
-                adam_step(named, state, lr=lr, weight_decay=WEIGHT_DECAY, t=step)
-            except NumericError as exc:
-                # locate numeric blow-ups so long runs fail with context
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} batch {batch_no} (fold {fold}): {exc}"
-                ) from exc
+            step += 1
+            breakdown = _train_step(
+                params, state, questions[idx], images[idx], labels[idx], kb, config, lr, step,
+                (fold, epoch, batch_no),
+            )
             loss_sum += breakdown.total * len(idx)
             ce_sum += breakdown.ce * len(idx)
             contrast_sum += (breakdown.total - breakdown.ce) * len(idx)
@@ -371,7 +370,7 @@ def train_fold(
             epochs_since_best = 0
         else:
             epochs_since_best += 1
-            if epochs_since_best >= config.patience and epochs_since_best > 0:
+            if epochs_since_best >= config.patience:
                 break
 
     np.copyto(state.theta, best_theta)

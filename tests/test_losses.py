@@ -9,11 +9,13 @@ from freqfuse.losses import (
     INTRA_WEIGHT,
     TAU_CROSS,
     TAU_INTRA,
+    _objective,
     augment,
     cross_entropy,
     info_nce,
     total_loss,
 )
+from freqfuse.model import ForwardResult
 from freqfuse.rng import named_stream
 
 
@@ -193,3 +195,34 @@ def test_total_loss_backward_distributes_weights():
     assert abs(float(it.grad) - 0.15) <= 1e-15
     assert abs(float(iv.grad) - 0.15) <= 1e-15
     assert abs(float(cr.grad) - 0.7) <= 1e-15
+
+
+def test_objective_is_the_weighted_sum_of_its_terms():
+    rng = named_stream(9, "test-objective")
+    fwd = ForwardResult(
+        t=Tensor(rng.standard_normal((4, 6))),
+        v=Tensor(rng.standard_normal((4, 6))),
+        features=None,
+        k_agg=None,
+        logits=Tensor(rng.standard_normal((4, 3))),
+    )
+    labels = np.array([0, 2, 1, 2])
+
+    total, br = _objective(fwd, labels, True, named_stream(9, "test-aug"))
+    aug = named_stream(9, "test-aug")
+    t_aug = augment(fwd.t, aug)
+    v_aug = augment(fwd.v, aug)
+    want_total, want = total_loss(
+        cross_entropy(fwd.logits, labels),
+        info_nce(fwd.t, t_aug, TAU_INTRA),
+        info_nce(fwd.v, v_aug, TAU_INTRA),
+        info_nce(fwd.t, fwd.v, TAU_CROSS),
+    )
+    assert float(total.data) == float(want_total.data)
+    assert br == want
+    assert min(br.intra_text, br.intra_image, br.cross) > 0.0
+
+    total, br = _objective(fwd, labels, False, named_stream(9, "test-aug"))
+    ce = float(cross_entropy(fwd.logits, labels).data)
+    assert float(total.data) == ce == br.ce == br.total
+    assert (br.intra_text, br.intra_image, br.cross) == (0.0, 0.0, 0.0)

@@ -5,15 +5,17 @@
 #   tools/same_outputs.sh PARENT_DIR CHANGE_DIR
 #
 # Each DIR is a checkout whose src/ holds the freqfuse package. In each tree
-# the script runs synth, train (freq_plus_knowledge), ablate --fold 0 with
-# --workers 1, with the default worker count (one per usable core) and with
-# --workers 2, eval, retrieve, spectrum and gradcheck, then retrieve
-# at --k 1 and 3, fidelity and cosine, on a 20,000-entry KB built from the
-# synthetic one. Then each tree's eval reads the checkpoint, dataset and KB
+# the script runs synth, train (freq_plus_knowledge), a train at --lr 1e300
+# that diverges, ablate --fold 0 with --workers 1, with the default worker
+# count (one per usable core) and with --workers 2, eval, retrieve, spectrum
+# and gradcheck, then retrieve at --k 1 and 3, fidelity and cosine, on a
+# 20,000-entry KB built from the synthetic one. Then each tree's eval reads the checkpoint, dataset and KB
 # that the PARENT tree wrote, so a change that evaluates an older checkpoint
 # differently shows up as a differing eval_parent_ckpt.out. It keeps every
 # file a command writes, its stdout and its exit code; stderr is kept aside
-# (warnings name source lines) and not compared.
+# (warnings name source lines) and not compared, except the diverging train's:
+# its one line, the numeric-error message, holds no source path and is kept
+# as train_diverges.err.
 # Commands run inside the output directory with relative paths, so printed
 # paths match. The script names each file that differs or exists on one side
 # only, and exits 1 if any does, 0 if none. For a .json file on both sides it
@@ -31,8 +33,8 @@
 # the sample and entry columns whose loaded values differ, e.g.
 #   differs: data/kb.jsonl: loaded values differ: embeddings
 # The retrieve queries are each KB's loaded embeddings, written as JSON
-# number lists by the same code in both trees. For any other .out, .csv or
-# .jsonl file on both sides it prints the first 20 lines of
+# number lists by the same code in both trees. For any other .out, .csv,
+# .jsonl or .err file on both sides it prints the first 20 lines of
 # `diff -u PARENT CHANGE` below the name.
 set -euo pipefail
 
@@ -63,6 +65,9 @@ run_tree() {
     step synth synth --out-dir data --classes 3 --per-class 8 --d-model 16 --sigma 0.2 --seed 3
     step train train --dataset data/dataset.jsonl --kb data/kb.jsonl --out-dir train \
         --fusion-mode freq_plus_knowledge "${SMALL[@]}"
+    step train_diverges train --dataset data/dataset.jsonl --out-dir train_diverges \
+        --lr 1e300 --workers 1 "${SMALL[@]}"
+    cp train_diverges.stderr train_diverges.err
     step ablate ablate --dataset data/dataset.jsonl --kb data/kb.jsonl --out-dir ablate \
         --fold 0 --workers 1 "${SMALL[@]}"
     step ablate_default ablate --dataset data/dataset.jsonl --kb data/kb.jsonl \
@@ -260,7 +265,7 @@ for rel in $files; do
             detail=""
         fi
         echo "differs: $rel$detail"
-        if [[ -f $work/parent/$rel && -f $work/change/$rel && $rel =~ \.(out|csv|jsonl)$
+        if [[ -f $work/parent/$rel && -f $work/change/$rel && $rel =~ \.(out|csv|jsonl|err)$
               && $rel != data/*.jsonl ]]; then
             # diff exits 1 on a difference, and head may cut its output short
             diff -u --label "PARENT/$rel" --label "CHANGE/$rel" \
