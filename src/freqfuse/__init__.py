@@ -30,7 +30,7 @@ from .fusion import FusionParams, SpectralFeatures, spectral_stage
 from .kernel import GradTape, Tensor
 from .losses import LossBreakdown, cross_entropy, info_nce, total_loss
 from .model import ModelParams, forward_batch, init_model_params, load_checkpoint, save_checkpoint
-from .retrieval import KnowledgeBase, RetrievalResult, fidelity, retrieve
+from .retrieval import KnowledgeBase, TopK, fidelity, retrieve
 from .training import MetricsReport, TrainConfig, make_folds, run_ablation_suite, train_fold
 
 __version__ = "0.1.0"
@@ -52,10 +52,10 @@ __all__ = [
     "ModelParams",
     "NumericError",
     "RetrievalError",
-    "RetrievalResult",
     "Sample",
     "SpectralFeatures",
     "Tensor",
+    "TopK",
     "TrainConfig",
     "cross_entropy",
     "fidelity",

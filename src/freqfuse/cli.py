@@ -35,8 +35,8 @@ from .retrieval import (
     TOP_K,
     KnowledgeBase,
     _check_options,
-    _top_k,
     _unit_queries,
+    top_k,
 )
 from .training import (
     FoldResult,
@@ -223,10 +223,12 @@ def _out_dir(args, file_values, required: bool = True) -> str | None:
     return out_dir
 
 
-def _load_kb(path: str | None) -> KnowledgeBase | None:
+def _load_kb(path: str | None, d_model: int | None = None) -> KnowledgeBase | None:
+    """The KB at `path`, if any; with `d_model`, a line of another width is
+    a data error that names it."""
     if path is None:
         return None
-    return KnowledgeBase(data_mod.load_knowledge_base(path))
+    return KnowledgeBase(data_mod.load_knowledge_base(path, d_model=d_model))
 
 
 def _fold_payload(result: FoldResult) -> dict:
@@ -262,7 +264,7 @@ def cmd_synth(args, file_values) -> int:
 def _load_train_inputs(dataset_path: str, kb_path: str | None):
     """Parse the dataset and KB once, before any job or worker starts."""
     manifest, samples = data_mod.load_dataset(dataset_path)
-    return manifest, samples, _load_kb(kb_path)
+    return manifest, samples, _load_kb(kb_path, manifest.d_model)
 
 
 def cmd_train(args, file_values) -> int:
@@ -331,7 +333,7 @@ def cmd_eval(args, file_values) -> int:
         config.validate()
     except ConfigError as exc:
         raise DataError(f"checkpoint {args.checkpoint}: train_config {exc}") from exc
-    kb = _load_kb(kb_path)
+    kb = _load_kb(kb_path, params.d_model)
     k = config.retrieval_k
     if params.fusion_mode == "freq_plus_knowledge" and kb is not None and k > len(kb):
         raise DataError(
@@ -382,20 +384,16 @@ def cmd_retrieve(args, file_values) -> int:
         except DegenerateInputError as exc:  # its norm is zero
             raise DataError(f"{where}: {exc}") from exc
         vectors.append(vec)
-    outputs = []
+    lines = []  # one JSON Lines record per query; none for no queries
     for start in range(0, len(vectors), _QUERY_TILE):
-        tile = np.stack(vectors[start : start + _QUERY_TILE])
-        for order, top, weights in zip(*_top_k(tile, kb, args.k, args.tau, args.similarity)):
-            outputs.append(
-                json.dumps(
-                    {
-                        "ids": [kb.columns.ids[i] for i in order],
-                        "similarities": [float(s) for s in top],
-                        "weights": [float(w) for w in weights],
-                    }
-                )
-            )
-    text = "\n".join(outputs) + "\n"
+        hits = top_k(np.stack(vectors[start : start + _QUERY_TILE]), kb, args.k, args.tau,
+                     args.similarity)
+        lines.extend(
+            json.dumps({"ids": [kb.columns.ids[i] for i in order],
+                        "similarities": top.tolist(), "weights": weights.tolist()}) + "\n"
+            for order, top, weights in zip(*hits)
+        )
+    text = "".join(lines)
     if out_dir:
         data_mod.atomic_write_text(os.path.join(out_dir, "retrieval.jsonl"), text)
         print(os.path.join(out_dir, "retrieval.jsonl"))

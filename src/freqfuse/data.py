@@ -31,7 +31,6 @@ import tempfile
 import warnings
 import zlib
 from dataclasses import dataclass
-from multiprocessing import current_process
 
 import numpy as np
 
@@ -308,17 +307,6 @@ def save_dataset(path: str, manifest: DatasetManifest, samples: list[Sample]) ->
             obj["question_features"] = float64_text(sample.question_features)
         rows.append(json.dumps(obj))
     atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-def usable_cores() -> int:
-    """The cores this process may run on; 1 in a daemonic process, which
-    cannot start worker processes."""
-    if current_process().daemon:
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _first_width(path: str) -> int | None:

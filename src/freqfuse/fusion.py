@@ -91,17 +91,17 @@ def co_select(
     v_comp: Tensor,
     params: FusionParams,
     tape: GradTape | None = None,
-    cross_modal: bool = True,
+    co_selection: bool = True,
 ) -> tuple[Tensor, Tensor]:
     """Gate each spectrum by a sigmoid driven by the other modality's summary.
 
-    With cross_modal=False each gate is driven by its own modality instead,
+    With co_selection=False each gate is driven by its own modality instead,
     which is the co-selection ablation.
     """
     t_driver = ops.mean_pool(t_comp, keepdims=True, tape=tape)
     v_driver = ops.mean_pool(v_comp, keepdims=True, tape=tape)
-    gate_t_in = v_driver if cross_modal else t_driver
-    gate_v_in = t_driver if cross_modal else v_driver
+    gate_t_in = v_driver if co_selection else t_driver
+    gate_v_in = t_driver if co_selection else v_driver
     g_text = ops.sigmoid(ops.linear(gate_t_in, params.w_gate_text, params.b_gate_text, tape), tape)
     g_image = ops.sigmoid(ops.linear(gate_v_in, params.w_gate_image, params.b_gate_image, tape), tape)
     return ops.mul(t_freq, g_text, tape), ops.mul(v_freq, g_image, tape)
@@ -130,7 +130,7 @@ def spectral_stage(
     t_freq, v_freq = dft_magnitude(t, tape), dft_magnitude(v, tape)
     t_comp = ops.linear(t_freq, params.w_filter_text, params.b_filter_text, tape)
     v_comp = ops.linear(v_freq, params.w_filter_image, params.b_filter_image, tape)
-    t_enh, v_enh = co_select(t_freq, v_freq, t_comp, v_comp, params, tape, cross_modal=co_selection)
+    t_enh, v_enh = co_select(t_freq, v_freq, t_comp, v_comp, params, tape, co_selection)
     return SpectralFeatures(
         t_freq=t_freq,
         v_freq=v_freq,

@@ -16,6 +16,7 @@ top-K selection.
 from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def _columns(entries: list[KnowledgeEntry]) -> KnowledgeColumns:
 # KB rows normalized together while `KnowledgeBase` builds its float32 unit
 # rows, so no (N, d) float64 unit matrix is ever held
 _UNIT_CHUNK_ROWS = 4096
-# Below this many entries `_top_k` sends every (query, entry) pair straight to
+# Below this many entries `top_k` sends every (query, entry) pair straight to
 # `_pair_scores` instead of screening first. On 2 cores (numpy 2.4.6, OpenBLAS
 # 0.3.31, d=64, k=3, two runs) all pairs and the screen cost the same at 64 to
 # 96 entries for B=32 and 72 to 96 for B=400; at 96 the screen is 6-25 %
@@ -121,7 +122,7 @@ _BLOCK_WIDTH = 64
 
 class KnowledgeBase:
     """Immutable columns (ids, texts, embeddings) with the embeddings' norms
-    and float32 unit rows (`unit32`) for the screening pass of `_top_k`.
+    and float32 unit rows (`unit32`) for the screening pass of `top_k`.
     Built from loaded columns or a list of entries; ids must be distinct."""
 
     def __init__(self, entries: KnowledgeColumns | list[KnowledgeEntry]):
@@ -166,13 +167,14 @@ class KnowledgeBase:
         return self.unit_rows()
 
 
-@dataclass
-class RetrievalResult:
-    entries: list[KnowledgeEntry]
-    similarities: np.ndarray  # descending
-    weights: np.ndarray  # softmax over the retrieved K, sums to 1
-    k_agg: np.ndarray
+class TopK(NamedTuple):
+    """The k best entries for each query, each field (B, k), or (k,) from
+    `retrieve`: entry indices, similarities (descending) and softmax weights
+    over the k (each row sums to 1)."""
+
     indices: np.ndarray
+    similarities: np.ndarray
+    weights: np.ndarray
 
 
 def _check_options(kb: KnowledgeBase, k: int, tau: float, similarity: str) -> None:
@@ -275,17 +277,23 @@ def _screen(qn: np.ndarray, kb: KnowledgeBase, k: int, similarity: str):
     return rows[keep], cols[keep]
 
 
-def _top_k(
-    queries: np.ndarray, kb: KnowledgeBase, k: int, tau: float, similarity: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices, similarities (descending) and softmax weights of the k best
-    entries for each row of a (B, d) query matrix, each of shape (B, k).
+def top_k(
+    queries: np.ndarray,
+    kb: KnowledgeBase,
+    k: int = TOP_K,
+    tau: float = SOFTMAX_TAU,
+    similarity: str = "fidelity",
+) -> TopK:
+    """The k best entries for each row of a (B, d) query matrix.
 
     Two passes. Candidates come from `_screen`, or on a KB of fewer than
     _SCREEN_MIN_ENTRIES entries are every (query, entry) pair. `_pair_scores`
     scores them in float64, and they are ranked by (row, -score, entry index),
     so ties keep entry order exactly as a full stable sort would. Every
     output row depends only on its query: retrieval is batch-invariant."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ContractError(f"expected (B, d) queries, got {queries.shape}")
     _check_options(kb, k, tau, similarity)
     qn = _unit_queries(queries, kb.d_model)
     b, n = len(qn), len(kb)
@@ -304,12 +312,7 @@ def _top_k(
         starts = np.searchsorted(rows[ranked], np.arange(b))
         pick = ranked[starts[:, None] + np.arange(k)]
         order, top = cols[pick], scores[pick]
-    return order, top, ops.softmax(top / tau)
-
-
-def _aggregate(weights: np.ndarray, order: np.ndarray, kb: KnowledgeBase) -> np.ndarray:
-    """sum_j w_j e_j per row: the weighted raw embeddings of the retrieved entries."""
-    return np.einsum("bk,bkd->bd", weights, kb.embeddings[order])
+    return TopK(order, top, ops.softmax(top / tau))
 
 
 def retrieve(
@@ -318,18 +321,13 @@ def retrieve(
     k: int = TOP_K,
     tau: float = SOFTMAX_TAU,
     similarity: str = "fidelity",
-) -> RetrievalResult:
+) -> TopK:
+    """`top_k` of one (d,) query, with (k,) fields."""
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1:
         raise ContractError(f"expected a (d,) query, got {q.shape}")
-    order, top, weights = _top_k(q[None, :], kb, k, tau, similarity)
-    return RetrievalResult(
-        entries=[kb.columns[i] for i in order[0]],
-        similarities=top[0],
-        weights=weights[0],
-        k_agg=_aggregate(weights, order, kb)[0],
-        indices=order[0],
-    )
+    order, top, weights = top_k(q[None, :], kb, k, tau, similarity)
+    return TopK(order[0], top[0], weights[0])
 
 
 def retrieve_batch(
@@ -339,9 +337,7 @@ def retrieve_batch(
     tau: float = SOFTMAX_TAU,
     similarity: str = "fidelity",
 ) -> np.ndarray:
-    """Aggregated knowledge vectors for a batch of queries, shape (B, d_model)."""
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2:
-        raise ContractError(f"expected (B, d) queries, got {queries.shape}")
-    order, _, weights = _top_k(queries, kb, k, tau, similarity)
-    return _aggregate(weights, order, kb)
+    """Aggregated knowledge vectors for a batch of queries, shape (B, d_model):
+    sum_j w_j e_j per row, the weighted raw embeddings of its top k."""
+    order, _, weights = top_k(queries, kb, k, tau, similarity)
+    return np.einsum("bk,bkd->bd", weights, kb.embeddings[order])

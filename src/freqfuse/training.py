@@ -25,7 +25,6 @@ from .data import (
     image_matrix,
     labels_array,
     question_matrix,
-    usable_cores,
 )
 from .errors import ConfigError, NumericError
 from .kernel import AdamState, GradTape, adam_step, ops
@@ -463,23 +462,33 @@ def _one_blas_thread_in_children():
                 os.environ[name] = value
 
 
+def usable_cores() -> int:
+    """The cores this process may run on; 1 in a daemonic process, which
+    cannot start worker processes."""
+    if current_process().daemon:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_fold_jobs(inputs, jobs, workers: int | None = None) -> list[FoldResult]:
     """Train every (config, fold) job on inputs (manifest, samples, kb,
     fold_ids); results keep job order and do not depend on `workers`.
 
-    workers=None means one per usable core; at most one worker per job is
-    started, none from a daemonic process. Workers are spawned, since forking
-    a process with live BLAS threads is unsafe, and run BLAS on one thread
-    each so that they do not oversubscribe the cores. Spawned workers import
-    the main module, so a script calling this needs an
+    workers=None means one per usable core. At most one worker per job and
+    one per usable core is started (none from a daemonic process, where
+    `usable_cores()` is 1): each worker runs BLAS on one thread, so more
+    workers than cores add no speed. Workers are spawned, since forking a
+    process with live BLAS threads is unsafe.
+    Spawned workers import the main module, so a script calling this needs an
     `if __name__ == "__main__":` guard. The pool function is private because a
     function perfbench's tracer has wrapped cannot be pickled by name."""
-    if workers is None:
-        workers = usable_cores()
-    elif workers < 1:
+    if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(jobs))
-    if workers <= 1 or current_process().daemon:
+    workers = min(workers or len(jobs), len(jobs), usable_cores())
+    if workers <= 1:
         return [_train_one_fold(inputs, *job) for job in jobs]
     # The inputs are streamed to a file once, which each worker reads. Passed
     # as initargs, they would be pickled into one buffer per worker start, and

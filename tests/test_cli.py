@@ -275,6 +275,57 @@ def test_retrieve_rejects_bad_queries(synth_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("to_dir", [False, True], ids=["stdout", "out-dir"])
+def test_retrieve_of_no_queries_writes_no_record(to_dir, synth_dir, tmp_path, capsys):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("\n \n")
+    out = tmp_path / "out"
+    extra = ["--out-dir", str(out)] if to_dir else []
+    capsys.readouterr()
+    assert run(_retrieve_args(synth_dir, queries, *extra)) == EXIT_OK
+    printed = capsys.readouterr().out
+    if to_dir:
+        assert printed == f"{out / 'retrieval.jsonl'}\n"
+        assert (out / "retrieval.jsonl").read_bytes() == b""
+    else:
+        assert printed == ""
+
+
+def _kb_of_width_8(tmp_path):
+    from freqfuse.data import KnowledgeEntry, save_knowledge_base
+
+    kb = tmp_path / "narrow-kb.jsonl"
+    save_knowledge_base(str(kb), [KnowledgeEntry(f"n{i}", "narrow", np.eye(8)[i]) for i in range(3)])
+    return kb
+
+
+@pytest.mark.parametrize("mode", ["freq_plus_knowledge", "freq_only"])
+def test_train_rejects_a_kb_of_another_width_before_any_job(mode, synth_dir, tmp_path,
+                                                           monkeypatch, capsys):
+    from freqfuse import cli
+
+    def no_jobs(*args):
+        raise AssertionError("a fold job was started")
+
+    monkeypatch.setattr(cli, "_run_fold_jobs", no_jobs)
+    kb = _kb_of_width_8(tmp_path)
+    capsys.readouterr()
+    assert run(["train", "--dataset", str(synth_dir / "dataset.jsonl"), "--kb", str(kb),
+                "--out-dir", str(tmp_path / "out"), "--fusion-mode", mode, "--folds", "2",
+                "--workers", "2"]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"freqfuse: data error: {kb} line 1: embedding: expected 16 numbers, got 8\n")
+
+
+def test_eval_rejects_a_kb_of_another_width_naming_its_line(synth_dir, knowledge_ckpt,
+                                                           tmp_path, capsys):
+    kb = _kb_of_width_8(tmp_path)
+    capsys.readouterr()
+    assert run(_eval_args(synth_dir, knowledge_ckpt, kb)) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"freqfuse: data error: {kb} line 1: embedding: expected 16 numbers, got 8\n")
+
+
 def test_gradcheck_command_passes(capsys):
     code = run(["gradcheck", "--seed", "5"])
     out = capsys.readouterr().out
@@ -406,11 +457,7 @@ def _eval_args(synth_dir, ckpt, kb=None):
 
 
 def _kb_narrower_than_checkpoint(tmp_path, synth_dir, ckpt):
-    from freqfuse.data import KnowledgeEntry, save_knowledge_base
-
-    kb = tmp_path / "narrow-kb.jsonl"
-    save_knowledge_base(str(kb), [KnowledgeEntry(f"n{i}", "narrow", np.eye(8)[i]) for i in range(3)])
-    return _eval_args(synth_dir, ckpt, kb)
+    return _eval_args(synth_dir, ckpt, _kb_of_width_8(tmp_path))
 
 
 def _ckpt_without_meta_key(tmp_path, synth_dir, ckpt):
@@ -969,7 +1016,7 @@ def test_retrieve_tiles_give_per_line_results(large, synth_dir, tmp_path, capsys
                               rng.standard_normal((57, 16))])
     lines = [json.dumps([float(v) for v in q]) for q in queries]
     per_line = [
-        json.dumps({"ids": [e.entry_id for e in r.entries],
+        json.dumps({"ids": [kb.columns.ids[i] for i in r.indices],
                     "similarities": [float(v) for v in r.similarities],
                     "weights": [float(v) for v in r.weights]})
         for r in (retrieve(q, kb, k=3) for q in queries)
@@ -1113,8 +1160,8 @@ def test_training_does_not_depend_on_blas_thread_count(tmp_path):
     """A threaded BLAS dot product of more than 10,000 elements splits its sum
     by thread count. Clipping on every step, a fold of 13,787 parameters must
     write the same checkpoint under one and two BLAS threads."""
-    from freqfuse.data import usable_cores
     from freqfuse.model import load_checkpoint
+    from freqfuse.training import usable_cores
 
     if usable_cores() < 2:
         pytest.skip("needs two usable cores to run a threaded BLAS")

@@ -83,7 +83,7 @@ def test_saturated_gate_passes_spectrum():
     assert np.max(np.abs(feats.v_enhanced.data - feats.v_freq.data)) <= 1e-12
 
 
-def oracle_stage(t, v, p, cross_modal=True):
+def oracle_stage(t, v, p, co_selection=True):
     """Straight-line reimplementation of the whole fusion stage in plain numpy,
     on one (d,) vector per modality."""
     tf = np.abs(naive_dft(t))
@@ -92,8 +92,8 @@ def oracle_stage(t, v, p, cross_modal=True):
     vc = p.w_filter_image.data @ vf + p.b_filter_image.data
     t_driver = tc.mean()
     v_driver = vc.mean()
-    gt_in = v_driver if cross_modal else t_driver
-    gv_in = t_driver if cross_modal else v_driver
+    gt_in = v_driver if co_selection else t_driver
+    gv_in = t_driver if co_selection else v_driver
     g_t = 1.0 / (1.0 + np.exp(-(p.w_gate_text.data[:, 0] * gt_in + p.b_gate_text.data)))
     g_v = 1.0 / (1.0 + np.exp(-(p.w_gate_image.data[:, 0] * gv_in + p.b_gate_image.data)))
     return tf * g_t, vf * g_v
@@ -121,7 +121,7 @@ def test_self_driven_gates_when_co_selection_off():
     t = rng.standard_normal(d)
     v = rng.standard_normal(d)
     feats = spectral_stage(Tensor(t[None]), Tensor(v[None]), params, co_selection=False)
-    want_t, want_v = oracle_stage(t, v, params, cross_modal=False)
+    want_t, want_v = oracle_stage(t, v, params, co_selection=False)
     assert np.max(np.abs(feats.t_enhanced.data[0] - want_t)) <= 1e-12
     assert np.max(np.abs(feats.v_enhanced.data[0] - want_v)) <= 1e-12
     crossed = spectral_stage(Tensor(t[None]), Tensor(v[None]), params, co_selection=True)

@@ -17,14 +17,15 @@ from freqfuse.retrieval import (
     DensityMatrix,
     KnowledgeBase,
     QuantumState,
+    TopK,
     _screen,
-    _top_k,
     density,
     fidelity,
     fidelity_general,
     normalize_to_state,
     retrieve,
     retrieve_batch,
+    top_k,
 )
 from freqfuse import retrieval
 from freqfuse.kernel import ops
@@ -205,7 +206,23 @@ def test_self_match_tops_the_ranking():
     res = retrieve(vecs[4] * 2.5, kb, k=3)  # scaled copy of entry 4
     assert res.indices[0] == 4
     assert abs(res.similarities[0] - 1.0) <= 1e-12
-    assert res.entries[0].entry_id == "e4"
+    assert kb.columns.ids[res.indices[0]] == "e4"
+
+
+def test_top_k_is_one_named_result():
+    rng = named_stream(5, "test-top-k-result")
+    kb = KnowledgeBase([entry(i, rng.standard_normal(4)) for i in range(6)])
+    queries = rng.standard_normal((3, 4))
+    hits = top_k(queries, kb, k=2)
+    assert isinstance(hits, TopK)
+    assert [field.shape for field in hits] == [(3, 2)] * 3
+    indices, similarities, weights = hits  # a 3-tuple, unpacked as such
+    one = retrieve(queries[1], kb, k=2)
+    assert isinstance(one, TopK)
+    for got, want in zip(one, (indices[1], similarities[1], weights[1])):
+        assert got.shape == (2,) and np.array_equal(got, want)
+    with pytest.raises(ContractError, match=r"expected \(B, d\) queries"):
+        top_k(queries[0], kb)
 
 
 def test_equal_similarities_give_equal_thirds():
@@ -244,19 +261,21 @@ def test_scale_invariance_of_results():
     kb = KnowledgeBase([entry(i, rng.standard_normal(8)) for i in range(20)])
     q = rng.standard_normal(8)
     base = retrieve(q, kb, k=3)
+    base_agg = retrieve_batch(q[None], kb, k=3)[0]
     for c in (1e-6, 3.0, 1e6):
         res = retrieve(c * q, kb, k=3)
         assert np.array_equal(res.indices, base.indices)
         assert np.max(np.abs(res.weights - base.weights)) <= 1e-9
-        assert np.max(np.abs(res.k_agg - base.k_agg)) <= 1e-9
+        assert np.max(np.abs(retrieve_batch(c * q[None], kb, k=3)[0] - base_agg)) <= 1e-9
 
 
 def test_k_agg_is_weighted_raw_embeddings():
     # aggregation uses the stored embeddings, not their unit versions
     kb = KnowledgeBase([entry(0, [10.0, 0.0]), entry(1, [0.0, 0.1]), entry(2, [-3.0, -3.0])])
-    res = retrieve(np.array([1.0, 0.0]), kb, k=2)
+    q = np.array([1.0, 0.0])
+    res = retrieve(q, kb, k=2)
     expect = res.weights[0] * kb.embeddings[res.indices[0]] + res.weights[1] * kb.embeddings[res.indices[1]]
-    assert np.allclose(res.k_agg, expect, atol=1e-15)
+    assert np.allclose(retrieve_batch(q[None], kb, k=2)[0], expect, atol=1e-15)
 
 
 def test_top_k_matches_brute_force():
@@ -299,8 +318,8 @@ def test_retrieve_batch_matches_single():
     agg = retrieve_batch(queries, kb, k=3)
     assert agg.shape == (6, 8)
     for i in range(6):
-        single = retrieve(queries[i], kb, k=3)
-        assert np.max(np.abs(agg[i] - single.k_agg)) <= 1e-12
+        single = retrieve_batch(queries[i][None], kb, k=3)[0]
+        assert np.max(np.abs(agg[i] - single)) <= 1e-12
     with pytest.raises(ContractError):
         retrieve_batch(queries[0], kb)
     queries[2] = 0.0
@@ -338,8 +357,8 @@ def test_single_and_batch_agree_with_ties_at_k():
     singles = [retrieve(q, kb, k=3) for q in queries]
     assert list(singles[0].indices) == [0, 1, 2]
     assert list(singles[1].indices) == [4, 5, 0]
-    for row, single in zip(agg, singles):
-        assert np.max(np.abs(row - single.k_agg)) <= 1e-12
+    for row, q in zip(agg, queries):
+        assert np.max(np.abs(row - retrieve_batch(q[None], kb, k=3)[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("bad_row", [0, 2, 4])
@@ -372,7 +391,7 @@ def _pair_oracle_scores(queries, kb, similarity):
 
 
 def _oracle_top_k(scores, k):
-    # full stable ranking by (-score, entry index), independent of _top_k
+    # full stable ranking by (-score, entry index), independent of top_k
     positions = np.arange(scores.shape[-1])
     return np.stack([np.lexsort((positions, -row))[:k] for row in scores])
 
@@ -468,7 +487,7 @@ def test_block_max_top_k_is_exact_where_blocks_prune(n):
         for similarity in ("fidelity", "cosine"):
             scores = _pair_oracle_scores(queries, kb, similarity)
             expect = _oracle_top_k(scores, k)
-            order, top, weights = _top_k(queries, kb, k, 0.1, similarity)
+            order, top, weights = top_k(queries, kb, k, 0.1, similarity)
             assert np.array_equal(order, expect), (n, k, similarity)
             want = np.take_along_axis(scores, expect, axis=1)
             assert np.array_equal(top, want)
@@ -510,15 +529,17 @@ def test_retrieval_is_batch_invariant(n):
     assert (n < _SCREEN_MIN_ENTRIES) == (n == 8)
     for similarity in ("fidelity", "cosine"):
         singles = [retrieve(q, kb, k=3, similarity=similarity) for q in queries]
+        single_aggs = [retrieve_batch(q[None], kb, k=3, similarity=similarity)[0]
+                       for q in queries]
         for batch in (np.arange(len(queries)), perm, perm[:7]):
-            order, top, weights = _top_k(queries[batch], kb, 3, 0.1, similarity)
+            order, top, weights = top_k(queries[batch], kb, 3, 0.1, similarity)
             agg = retrieve_batch(queries[batch], kb, k=3, similarity=similarity)
             for row, i in enumerate(batch):
                 single = singles[i]
                 assert np.array_equal(order[row], single.indices), (similarity, i)
                 assert np.array_equal(top[row], single.similarities), (similarity, i)
                 assert np.array_equal(weights[row], single.weights), (similarity, i)
-                assert np.array_equal(agg[row], single.k_agg), (similarity, i)
+                assert np.array_equal(agg[row], single_aggs[i]), (similarity, i)
 
 
 def _crowded_kb(rng, n, d, queries, per_query):
@@ -552,7 +573,7 @@ def test_screen_margin_keeps_the_exact_top_k():
         for similarity in ("fidelity", "cosine"):
             scores = _pair_oracle_scores(queries, kb, similarity)
             expect = _oracle_top_k(scores, k)
-            order, top, weights = _top_k(queries, kb, k, 0.1, similarity)
+            order, top, weights = top_k(queries, kb, k, 0.1, similarity)
             assert np.array_equal(order, expect), (k, similarity)
             want = np.take_along_axis(scores, expect, axis=1)
             assert np.array_equal(top, want), (k, similarity)
@@ -567,13 +588,13 @@ def test_screen_margin_keeps_the_exact_top_k():
 
 
 def _exact_top_k(queries, kb, k):
-    """_top_k equals the float64 brute-force ranking bit for bit, for both
+    """top_k equals the float64 brute-force ranking bit for bit, for both
     similarities; returns each similarity's expected indices."""
     expected = {}
     for similarity in ("fidelity", "cosine"):
         scores = _pair_oracle_scores(queries, kb, similarity)
         expect = _oracle_top_k(scores, k)
-        order, top, weights = _top_k(queries, kb, k, 0.1, similarity)
+        order, top, weights = top_k(queries, kb, k, 0.1, similarity)
         assert np.array_equal(order, expect), (k, similarity)
         want = np.take_along_axis(scores, expect, axis=1)
         assert np.array_equal(top, want), (k, similarity)

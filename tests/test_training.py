@@ -235,43 +235,73 @@ def test_ablation_suite_on_default_workers_equals_serial(clean_data):
             assert tensor.data.tobytes() == b.params.named()[key].data.tobytes(), (name, key)
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records `max_workers` and the
+    initializer's arguments, runs the initializer, then runs each job
+    in-process, so no process is started."""
+
+    built: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.built.append((max_workers, initargs))
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _use_in_process_pool(monkeypatch, cores):
+    from freqfuse import training
+
+    monkeypatch.setattr(training, "usable_cores", lambda: cores)
+    monkeypatch.setattr(training, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(training, "_worker_inputs", None)
+    monkeypatch.setattr(_InProcessPool, "built", [])
+
+
 def test_pool_workers_read_inputs_from_a_removed_file(clean_data, monkeypatch):
     """The pool is handed a path, not the inputs: the file holds them while
     the workers start, and is gone once the jobs are done."""
-    from concurrent.futures import Future
-
     from freqfuse import training
-
-    seen = []
-
-    class FilePool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            seen.append(initargs)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
 
     manifest, samples, kb = clean_data
     cfg = small_config(max_epochs=1, hidden1=16, hidden2=8)
     fold_ids = make_folds(samples, k=cfg.folds, seed=cfg.seed)
     inputs = (manifest, samples, kb, fold_ids)
-    monkeypatch.setattr(training, "ProcessPoolExecutor", FilePool)
-    monkeypatch.setattr(training, "_worker_inputs", None)
+    _use_in_process_pool(monkeypatch, cores=2)
     (a, b) = training._run_fold_jobs(inputs, [(cfg, 0), (cfg, 1)], workers=2)
-    [(path,)] = seen
+    [(_, (path,))] = _InProcessPool.built
     assert isinstance(path, str) and not os.path.exists(path)
     assert np.array_equal(training._worker_inputs[3], fold_ids)
     assert training._worker_inputs[2].embeddings.tobytes() == kb.embeddings.tobytes()
     assert (a.fold, b.fold) == (0, 1)
+
+
+def test_workers_capped_at_usable_cores(clean_data, monkeypatch):
+    """However many workers are asked for, no more start than there are
+    usable cores; the stub pool starts no process."""
+    from freqfuse import training
+
+    manifest, samples, kb = clean_data
+    cfg = small_config(max_epochs=1, hidden1=16, hidden2=8)
+    inputs = (manifest, samples, kb, make_folds(samples, k=cfg.folds, seed=cfg.seed))
+    _use_in_process_pool(monkeypatch, cores=2)
+    results = training._run_fold_jobs(inputs, [(cfg, 0), (cfg, 1), (cfg, 2)], workers=10**6)
+    assert [workers for workers, _ in _InProcessPool.built] == [2]
+    assert [r.fold for r in results] == [0, 1, 2]
+    _use_in_process_pool(monkeypatch, cores=1)
+    assert [r.fold for r in training._run_fold_jobs(inputs, [(cfg, 0)] * 2, workers=2)] == [0, 0]
+    assert _InProcessPool.built == []  # one usable core: the jobs run serially
 
 
 def test_without_contrastive_total_equals_ce(clean_data):
@@ -421,13 +451,13 @@ def test_predict_probs_is_batch_invariant(scoring, n):
 
 def _count_top_k_rows(monkeypatch) -> list[int]:
     rows = []
-    top_k = retrieval._top_k
+    top_k = retrieval.top_k
 
     def counted(queries, *args, **kwargs):
         rows.append(len(queries))
         return top_k(queries, *args, **kwargs)
 
-    monkeypatch.setattr(retrieval, "_top_k", counted)
+    monkeypatch.setattr(retrieval, "top_k", counted)
     return rows
 
 

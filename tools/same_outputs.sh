@@ -9,7 +9,9 @@
 # that diverges, ablate --fold 0 with --workers 1, with the default worker
 # count (one per usable core) and with --workers 2, eval, retrieve, spectrum
 # and gradcheck, then retrieve at --k 1 and 3, fidelity and cosine, on a
-# 20,000-entry KB built from the synthetic one. Then each tree's eval reads the checkpoint, dataset and KB
+# 20,000-entry KB built from the synthetic one, and on that KB once more with
+# 70 queries, which `retrieve` scores as three tiles (32, 32 and 6 rows).
+# Then each tree's eval reads the checkpoint, dataset and KB
 # that the PARENT tree wrote, so a change that evaluates an older checkpoint
 # differently shows up as a differing eval_parent_ckpt.out. It keeps every
 # file a command writes, its stdout and its exit code; stderr is kept aside
@@ -101,13 +103,17 @@ data.save_knowledge_base("data/large_kb.jsonl", entries)
 queries = protos + [p + 0.05 * rng.standard_normal(d) for p in protos]
 queries += list(rng.standard_normal((6, d)))
 with open("large_queries.jsonl", "w") as fh:
-    fh.writelines(json.dumps([float(v) for v in q]) + "\n" for q in queries)'
+    fh.writelines(json.dumps([float(v) for v in q]) + "\n" for q in queries)
+with open("tiled_queries.jsonl", "w") as fh:
+    fh.writelines(json.dumps([float(v) for v in q]) + "\n"
+                  for q in queries + list(rng.standard_normal((58, d))))'
     for similarity in fidelity cosine; do
         for k in 1 3; do
             step "retrieve_large_${similarity}_k$k" retrieve --kb data/large_kb.jsonl \
                 --queries large_queries.jsonl --k "$k" --similarity "$similarity"
         done
     done
+    step retrieve_large_tiles retrieve --kb data/large_kb.jsonl --queries tiled_queries.jsonl --k 3
     step spectrum spectrum --dataset data/dataset.jsonl --out-dir spectrum --limit 5
     step gradcheck gradcheck --seed 0
 }
