@@ -61,7 +61,12 @@ _CONFIG_KEYS = {f.name: f.type for f in fields(TrainConfig)}
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2, with one stderr line;
-    # --help still prints the usage
+    # --help still prints the usage. A flag is never read as an abbreviation,
+    # so another subcommand's flag (retrieve's --k to eval) is unknown here,
+    # not taken as --kb.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -417,6 +422,8 @@ def cmd_gradcheck(args, file_values) -> int:
 
 def cmd_spectrum(args, file_values) -> int:
     dataset_path = _require(_resolve(args, file_values, "dataset"), "--dataset")
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     out_dir = _out_dir(args, file_values)
     manifest, samples = data_mod.load_dataset(dataset_path)
     if args.limit > 0:
@@ -480,7 +487,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        file_values = read_config_file(args.config) if args.config else {}
+        file_values = read_config_file(args.config) if args.config is not None else {}
         # non-finite values are reported once, by the program's own checks,
         # not also as numpy warnings (fold workers inherit this setting)
         with np.errstate(all="ignore"):

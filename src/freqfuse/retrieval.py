@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import KnowledgeColumns, KnowledgeEntry
+from .data import KnowledgeColumns, KnowledgeEntry, TextColumn
 from .errors import ConfigError, ContractError, DataError, DegenerateInputError, RetrievalError
 from .kernel import ops, psd_sqrt
 from .kernel.eig import SYMMETRY_TOL
@@ -93,8 +93,8 @@ def _columns(entries: list[KnowledgeEntry]) -> KnowledgeColumns:
     if len(dims) != 1 or entries[0].embedding.ndim != 1:
         raise DataError(f"inconsistent embedding shapes: {sorted(dims)}")
     return KnowledgeColumns(
-        ids=[e.entry_id for e in entries],
-        texts=[e.text for e in entries],
+        ids=TextColumn(e.entry_id for e in entries),
+        texts=TextColumn(e.text for e in entries),
         embeddings=np.stack([e.embedding for e in entries]),
     )
 

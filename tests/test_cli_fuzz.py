@@ -7,8 +7,9 @@ cuts and JSON value tokens, then run through `cli.main` in-process with
 (0 to 3) and at most one stderr line, and no exception escapes `main`.
 Semantic cases (edited headers and checkpoint meta, an out-dir that is a
 file, bad flag and config values, vectors whose base64 text is wrong) must
-exit with their documented code. No run starts a process: the trainer runs
-its fold jobs in-process.
+exit with their documented code. Seeded argv mutations of every subcommand
+(a flag dropped or repeated, a value replaced, another subcommand's flag)
+must too. No run starts a process: the trainer runs its fold jobs in-process.
 """
 
 import base64
@@ -20,7 +21,9 @@ import zlib
 import numpy as np
 import pytest
 
+from freqfuse import gradcheck
 from freqfuse.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from test_training import _use_in_process_pool
 
 SEED = 20261019
 TOKENS = (b"true", b"1e999", b"NaN", b"[]", b"\xff")
@@ -94,15 +97,19 @@ def _mutate(data: bytes, rng: np.random.Generator) -> bytes:
     return data[: match.start()] + TOKENS[int(rng.integers(len(TOKENS)))] + data[match.end() :]
 
 
-def _run(argv, capsys):
+def _outcome(argv, capsys):
     """(exit code, stderr lines) of one in-process run; the code is the
     exception's description when one escapes main."""
     capsys.readouterr()
     try:
-        code = main([*argv, "--workers", "1"])
+        code = main(argv)
     except Exception as exc:  # noqa: BLE001 - any escape is the failure under test
         code = f"{type(exc).__name__} escaped main: {exc}"
     return code, capsys.readouterr().err.strip().splitlines()
+
+
+def _run(argv, capsys):
+    return _outcome([*argv, "--workers", "1"], capsys)
 
 
 def _problem(code, err, expected=None) -> str | None:
@@ -328,3 +335,98 @@ def test_semantic_case_exits_with_its_code(case, inputs, tmp_path, capsys):
     build, expected = SEMANTIC[case]
     problem = _problem(*_run(build(inputs, tmp_path), capsys), expected=expected)
     assert problem is None, problem
+
+
+# Argv mutations start from one valid argv per subcommand that passes every
+# flag it has, with tiny inputs and `--workers 1`.
+TRAIN_FLAGS = ["--fusion-mode", "freq_plus_knowledge", "--folds", "2", "--fold", "0",
+               "--max-epochs", "1", "--patience", "1", "--hidden1", "8", "--hidden2", "4",
+               "--batch-size", "8", "--lr", "0.001", "--clip-norm", "5", "--dropout", "0.1",
+               "--retrieval-k", "2", "--frequency", "on", "--contrastive", "on",
+               "--co-selection", "on", "--similarity", "fidelity"]
+ARGV_VALUES = ("abc", "-1", "0", "1e999", "nan", "")
+# flags naming a file the run reads: a missing one is a data error
+_INPUT_FLAGS = {"--dataset", "--kb", "--queries", "--checkpoint"}
+# the values of ARGV_VALUES a flag takes; any other is a usage error. An
+# --out-dir is made under any name but the empty one.
+_TAKES = {"--out-dir": {"abc", "-1", "0", "1e999", "nan"}, "--seed": {"0"}, "--fold": {"0"},
+          "--sigma": {"0"}, "--patience": {"0"}, "--clip-norm": {"0"}, "--dropout": {"0"},
+          "--limit": {"0"}}
+# common flags a subcommand parses but never reads, with the values they take
+_UNREAD = {("gradcheck", "--out-dir"): set(ARGV_VALUES),
+           **{(command, "--seed"): {"-1", "0"} for command in ("eval", "retrieve", "spectrum")},
+           **{(command, "--workers"): {"-1", "0"}
+              for command in ("synth", "eval", "retrieve", "gradcheck", "spectrum")}}
+# flags whose absence is a usage error; the KB is required where the config
+# or checkpoint fuses knowledge
+_REQUIRED = {"synth": {"--out-dir"}, "train": {"--dataset", "--kb", "--out-dir"},
+             "ablate": {"--dataset", "--kb", "--out-dir"},
+             "eval": {"--dataset", "--kb", "--checkpoint"}, "retrieve": {"--kb", "--queries"},
+             "gradcheck": set(), "spectrum": {"--dataset", "--out-dir"}}
+# argv mutations drawn per subcommand, by kind
+ARGV_DRAWS = {"value": 12, "drop": 4, "repeat": 3, "foreign": 3}
+
+
+def _valid_argvs(inputs):
+    dataset, kb = str(inputs["dataset"]), str(inputs["kb"])
+    specific = {
+        "synth": ["--classes", "2", "--per-class", "2", "--d-model", "8", "--sigma", "0.2",
+                  "--amplitude", "0.25", "--samples-per-image", "1"],
+        "train": ["--dataset", dataset, "--kb", kb, *TRAIN_FLAGS],
+        "ablate": ["--dataset", dataset, "--kb", kb, *TRAIN_FLAGS],
+        "eval": ["--dataset", dataset, "--kb", kb, "--checkpoint", str(inputs["checkpoint"])],
+        "retrieve": ["--kb", kb, "--queries", str(inputs["queries"]), "--k", "2", "--tau", "0.1",
+                     "--similarity", "fidelity"],
+        "gradcheck": ["--tolerance", "1e-4"],
+        "spectrum": ["--dataset", dataset, "--limit", "2"],
+    }
+    common = ["--config", str(inputs["config"]), "--seed", "5", "--workers", "1",
+              "--out-dir", "out"]
+    return {command: [command, *common, *flags] for command, flags in specific.items()}
+
+
+def _argv_mutations(command, argvs):
+    """Every mutation of `command`'s valid argv, by kind, as (row name, argv,
+    documented exit code). Every flag in a valid argv takes a value."""
+    argv = argvs[command]
+    own = argv[1::2]
+    flags = [(i, flag) for i, flag in enumerate(argv) if flag.startswith("--")]
+    foreign = sorted({f for a in argvs.values() for f in a[1::2]} - set(own))
+
+    def value_exit(flag, value):
+        if value in _TAKES.get(flag, set()) | _UNREAD.get((command, flag), set()):
+            return EXIT_OK
+        return EXIT_DATA if flag in _INPUT_FLAGS else EXIT_USAGE
+
+    return {
+        "value": [(f"{command} {flag} {value!r}", argv[: i + 1] + [value] + argv[i + 2 :],
+                   value_exit(flag, value)) for i, flag in flags for value in ARGV_VALUES],
+        "drop": [(f"{command} without {flag}", argv[:i] + argv[i + 2 :],
+                  EXIT_USAGE if flag in _REQUIRED[command] else EXIT_OK) for i, flag in flags],
+        "repeat": [(f"{command} {flag} twice", argv + argv[i : i + 2], EXIT_OK)
+                   for i, flag in flags],
+        "foreign": [(f"{command} {flag} of another subcommand", argv + [flag, "1"], EXIT_USAGE)
+                    for flag in foreign],
+    }
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "retrieve", "gradcheck",
+                                     "spectrum", "ablate"])
+def test_argv_mutation_exits_with_its_code(command, inputs, tmp_path, capsys, monkeypatch):
+    """A seeded draw of each kind of argv mutation ends with its documented
+    exit code and one stderr line, or none when it exits 0. Runs in tmp_path,
+    where a mutated --out-dir is made. Fold jobs go to an in-process pool, so
+    --workers and --folds mutations start no process; gradcheck runs one
+    suite."""
+    monkeypatch.chdir(tmp_path)
+    _use_in_process_pool(monkeypatch, cores=2)
+    monkeypatch.setattr(gradcheck, "ALL_SUITES", gradcheck.ALL_SUITES[:1])
+    rng = np.random.default_rng([SEED, zlib.crc32(command.encode())])
+    failures = []
+    for kind, rows in _argv_mutations(command, _valid_argvs(inputs)).items():
+        for j in rng.choice(len(rows), size=min(ARGV_DRAWS[kind], len(rows)), replace=False):
+            name, argv, expected = rows[j]
+            code, err = _outcome(argv, capsys)
+            if code != expected or len(err) != (code != EXIT_OK):
+                failures.append(f"{name}: exit {code} (expected {expected}); stderr {err}")
+    assert not failures, "\n".join(failures)

@@ -2,6 +2,7 @@ import base64
 import errno
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,8 +405,8 @@ def reference_columns(path):
 
 
 def assert_same_columns(cols, ids, texts, embeddings):
-    assert cols.ids == ids
-    assert cols.texts == texts
+    assert list(cols.ids) == ids
+    assert list(cols.texts) == texts
     assert cols.embeddings.dtype == np.float64
     assert cols.embeddings.shape == embeddings.shape
     assert cols.embeddings.tobytes() == embeddings.tobytes()
@@ -437,6 +438,54 @@ def test_kb_columns_index_to_entry_copies(tmp_path):
     entry.embedding[0] = 99.0
     assert cols.embeddings[1, 0] != 99.0
     assert [e.entry_id for e in cols] == ["k0", "k1", "k2"]
+
+
+def test_kb_columns_hold_every_string_a_line_can(tmp_path):
+    """Ids and texts load as json.loads reads them: non-ASCII text, an empty
+    text, U+2028 and U+0085, and an id holding a lone surrogate, which only
+    a JSON escape can write and a strict UTF-8 encode would reject."""
+    strings = [("\ud800", "an escaped id"), ("k-\u65e5\u672c", "µ and \U0001f389"),
+               ("k-empty", ""), ("k-breaks", "one\u2028two\x85three"), ("\ud800-lone", "\udfff")]
+    lines = []
+    for (i, t), v in zip(strings, kb_vectors(len(strings))):
+        obj = {"id": i, "text": t, "embedding": v}
+        try:  # UTF-8 as it stands, where it is UTF-8
+            lines.append(json.dumps(obj, ensure_ascii=False).encode())
+        except UnicodeEncodeError:  # a lone surrogate, written as its JSON escape
+            lines.append(json.dumps(obj).encode())
+    assert lines[0].startswith(b'{"id": "\\ud800"') and "µ".encode() in lines[1]
+    p = tmp_path / "kb.jsonl"
+    p.write_bytes(b"\n".join(lines) + b"\n")
+    cols = load_knowledge_base(str(p))
+    want = [json.loads(line) for line in lines]
+    assert len(cols.ids) == len(cols.texts) == len(want)
+    for j, obj in enumerate(want):
+        assert (cols.ids[j], cols.texts[j]) == (obj["id"], obj["text"])
+        assert (cols.ids[j - len(want)], cols.texts[np.int64(j)]) == (obj["id"], obj["text"])
+    assert list(cols.ids) == [obj["id"] for obj in want]
+    assert list(cols.texts) == [obj["text"] for obj in want]
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            cols.ids[bad]
+
+
+def test_kb_load_holds_little_beyond_the_embeddings(tmp_path):
+    """A 20,000-entry KB's ids and texts take under 1.5 MiB of traced memory
+    beyond the embedding matrix: measured 0.86 MiB as packed columns, against
+    2.75 MiB as two lists of str."""
+    n = 20_000
+    vectors = named_stream(0, "kb-memory").standard_normal((n, 16))
+    save_knowledge_base(str(tmp_path / "kb.jsonl"), [
+        KnowledgeEntry(f"entry-{i}", f"text of entry {i}", v) for i, v in enumerate(vectors)])
+    del vectors
+    tracemalloc.start()
+    try:
+        cols = load_knowledge_base(str(tmp_path / "kb.jsonl"))
+        held = tracemalloc.get_traced_memory()[0] - cols.embeddings.base.nbytes
+    finally:
+        tracemalloc.stop()
+    assert len(cols) == n
+    assert held < 1.5 * 2**20, f"the KB's columns hold {held / 2**20:.2f} MiB beyond its embeddings"
 
 
 def nan_first_value(line):
@@ -534,8 +583,8 @@ def test_knowledge_base_from_list_equals_from_loaded_columns(tmp_path):
     save_knowledge_base(str(p), entries)
     from_list = KnowledgeBase(entries)
     loaded = KnowledgeBase(load_knowledge_base(str(p)))
-    assert from_list.columns.ids == loaded.columns.ids
-    assert from_list.columns.texts == loaded.columns.texts
+    assert list(from_list.columns.ids) == list(loaded.columns.ids)
+    assert list(from_list.columns.texts) == list(loaded.columns.texts)
     assert from_list.embeddings.tobytes() == loaded.embeddings.tobytes()
     assert from_list.unit.tobytes() == loaded.unit.tobytes()
     assert len(from_list) == len(loaded) == 6
@@ -586,7 +635,7 @@ def test_lines_split_on_newline_only(tmp_path):
              json.dumps({"id": "b", "text": "t", "embedding": [0.0, 1.0]})]
     write_lines(p, lines)
     cols = load_knowledge_base(str(p))
-    assert cols.texts == ["one\u2028two\x85", "t"]
+    assert list(cols.texts) == ["one\u2028two\x85", "t"]
 
 
 def test_non_utf8_line_is_named(tmp_path):

@@ -4,7 +4,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from freqfuse.data import KnowledgeColumns, KnowledgeEntry
+from freqfuse.data import KnowledgeColumns, KnowledgeEntry, TextColumn
 from freqfuse.errors import (
     ConfigError,
     ContractError,
@@ -683,8 +683,8 @@ def test_screen_memory_does_not_grow_with_the_kb():
     for n in (20_000, 80_000):
         rng = named_stream(2, "test-screen-memory", n)
         embeddings = rng.standard_normal((n, 64))
-        kb = KnowledgeBase(KnowledgeColumns(ids=[f"e{i}" for i in range(n)], texts=[""] * n,
-                                            embeddings=embeddings))
+        kb = KnowledgeBase(KnowledgeColumns(ids=TextColumn(f"e{i}" for i in range(n)),
+                                            texts=TextColumn([""] * n), embeddings=embeddings))
         queries = rng.standard_normal((32, 64))
         retrieve_batch(queries, kb)
         tracemalloc.start()

@@ -217,7 +217,7 @@ if is_dataset:
                "question_tokens": [s.question_tokens for s in samples]}
 else:
     kb = data.load_knowledge_base(path)
-    columns = {"ids": kb.ids, "texts": kb.texts, "embeddings": kb.embeddings}
+    columns = {"ids": list(kb.ids), "texts": list(kb.texts), "embeddings": kb.embeddings}
 for name, value in columns.items():
     print(name, digest(value))
 PY
