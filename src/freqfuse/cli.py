@@ -28,7 +28,7 @@ from .errors import (
 )
 from .gradcheck import run_all
 from .kernel import dft_magnitude_raw
-from .model import read_checkpoint, save_checkpoint
+from .model import TrainConfig, read_checkpoint, save_checkpoint
 from .retrieval import (
     SIMILARITIES,
     SOFTMAX_TAU,
@@ -40,7 +40,6 @@ from .retrieval import (
 )
 from .training import (
     FoldResult,
-    TrainConfig,
     _run_fold_jobs,
     evaluate_arrays,
     make_folds,
@@ -194,9 +193,7 @@ def _train_config_from(args, file_values: dict[str, str]) -> TrainConfig:
         value = _resolve(args, file_values, key, kind=kind)
         if value is not None:
             kwargs[key] = value
-    config = TrainConfig(**kwargs)
-    config.validate()
-    return config
+    return TrainConfig(**kwargs)
 
 
 def _selected_folds(args, config: TrainConfig) -> list[int]:
@@ -333,9 +330,8 @@ def cmd_eval(args, file_values) -> int:
             raise DataError(
                 f"checkpoint {args.checkpoint}: train_config {key}={value!r} is not {kind.__name__}"
             )
-    config = TrainConfig(**kwargs)
     try:
-        config.validate()
+        config = TrainConfig(**kwargs)
     except ConfigError as exc:
         raise DataError(f"checkpoint {args.checkpoint}: train_config {exc}") from exc
     kb = _load_kb(kb_path, params.d_model)

@@ -25,7 +25,7 @@ from .fusion import co_select, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor, dft_magnitude
 from .kernel import ops
 from .losses import TAU_INTRA, _objective, cross_entropy, info_nce
-from .model import classify, forward_batch, init_classifier_params, init_model_params
+from .model import TrainConfig, classify, forward_batch, init_classifier_params, init_model_params
 from .rng import named_stream
 
 TOLERANCE = 1e-4
@@ -211,7 +211,7 @@ def _suite_full_pipeline(seed: int) -> float:
             rng=named_stream(seed, "gc-pipe-drop"),
             tape=tape,
         )
-        total, _ = _objective(fwd, labels, True, named_stream(seed, "gc-pipe-aug"), tape)
+        total, _ = _objective(fwd, labels, TrainConfig(), named_stream(seed, "gc-pipe-aug"), tape)
         return total
 
     named = params.named()

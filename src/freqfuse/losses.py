@@ -18,7 +18,7 @@ from .errors import ContractError, DegenerateInputError
 from .kernel import GradTape, Tensor
 from .kernel import ops
 from .kernel.tensor import _op_output
-from .model import ForwardResult
+from .model import ForwardResult, TrainConfig
 
 INTRA_WEIGHT = 0.3
 CROSS_WEIGHT = 0.7
@@ -113,15 +113,15 @@ def total_loss(
 
 
 def _objective(
-    fwd: ForwardResult, labels: np.ndarray, contrastive: bool, rng: np.random.Generator,
+    fwd: ForwardResult, labels: np.ndarray, config: TrainConfig, rng: np.random.Generator,
     tape: GradTape | None = None,
 ) -> tuple[Tensor, LossBreakdown]:
     """The training loss of one forward pass: cross entropy, plus with
-    `contrastive` on each view's InfoNCE against its augmentation (text, then
-    image, both drawn from rng) and the text-image InfoNCE. With it off the
-    contrastive terms are 0."""
+    `config.contrastive` on each view's InfoNCE against its augmentation
+    (text, then image, both drawn from rng) and the text-image InfoNCE. With
+    it off the contrastive terms are 0."""
     ce = cross_entropy(fwd.logits, labels, tape)
-    if contrastive:
+    if config.contrastive:
         t_aug = augment(fwd.t, rng, tape)
         v_aug = augment(fwd.v, rng, tape)
         intra_t = info_nce(fwd.t, t_aug, TAU_INTRA, tape)

@@ -1,5 +1,5 @@
-"""Model assembly: modality projections, the fused feature vector, the MLP
-classifier head, and checkpoint serialization.
+"""Model assembly: a run's settings (TrainConfig), modality projections, the
+fused feature vector, the MLP classifier head, and checkpoint serialization.
 
 The classifier input is [t_enhanced | v_enhanced] in freq_only mode or
 [t_enhanced | v_enhanced | k_agg] in freq_plus_knowledge mode, so in_dim is
@@ -18,11 +18,65 @@ from .errors import ConfigError, ContractError, DataError
 from .fusion import K_FILTERS, FusionParams, SpectralFeatures, init_fusion_params, spectral_stage
 from .kernel import GradTape, Tensor
 from .kernel import ops
-from .retrieval import TOP_K, KnowledgeBase, retrieve_batch
+from .retrieval import SIMILARITIES, TOP_K, KnowledgeBase, retrieve_batch
 from .rng import named_stream
 
 FUSION_MODES = ("freq_only", "freq_plus_knowledge")
 CHECKPOINT_VERSION = 2  # the only version read; version 1 stored lists of JSON numbers
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """A run's settings, from CLI flag or config key to forward pass and loss.
+    Checked when built, so one that exists is valid; frozen, so a variant is
+    a dataclasses.replace of it, which is checked again."""
+
+    lr: float = 5e-5
+    batch_size: int = 32
+    max_epochs: int = 50
+    patience: int = 10
+    folds: int = 5
+    seed: int = 0
+    clip_norm: float = 5.0  # 0 disables clipping
+    dropout: float = 0.1
+    hidden1: int = 1024
+    hidden2: int = 256
+    retrieval_k: int = TOP_K
+    # ablation switchboard
+    frequency: bool = True
+    contrastive: bool = True
+    co_selection: bool = True
+    similarity: str = "fidelity"
+    fusion_mode: str = "freq_only"  # freq_plus_knowledge: retrieval on
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not abs(value) < math.inf:  # NaN fails too
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        positive = {
+            "lr": self.lr,
+            "batch_size": self.batch_size,
+            "max_epochs": self.max_epochs,
+            "folds": self.folds,
+            "retrieval_k": self.retrieval_k,
+            "hidden1": self.hidden1,
+            "hidden2": self.hidden2,
+        }
+        for name, value in positive.items():
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        for name, value in (("patience", self.patience), ("clip_norm", self.clip_norm)):
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.similarity not in SIMILARITIES:
+            raise ConfigError(
+                f"similarity must be {' or '.join(SIMILARITIES)}, got {self.similarity!r}"
+            )
+        if self.fusion_mode not in FUSION_MODES:
+            raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
 
 
 @dataclass
@@ -170,17 +224,6 @@ def classify(
     return ops.linear(h, params.w3, params.b3, tape)
 
 
-@dataclass(frozen=True)
-class ForwardOptions:
-    """Ablation switches of the forward pass; whether retrieval runs follows
-    from the parameters' fusion_mode."""
-
-    frequency: bool = True
-    co_selection: bool = True
-    similarity: str = "fidelity"
-    retrieval_k: int = TOP_K
-
-
 @dataclass
 class ForwardResult:
     t: Tensor
@@ -198,9 +241,14 @@ def forward_batch(
     train: bool = False,
     rng: np.random.Generator | None = None,
     tape: GradTape | None = None,
-    options: ForwardOptions = ForwardOptions(),
+    config: TrainConfig = TrainConfig(),
 ) -> ForwardResult:
     """Run the full pipeline on a batch.
+
+    config supplies the ablation switches (frequency, co_selection) and the
+    retrieval settings (retrieval_k, similarity). Whether retrieval runs
+    follows params.fusion_mode, not config's: the classifier's input width
+    fixes it.
 
     In the precomputed layout the image features enter the graph as an
     untraced constant; only the text projection is learned ahead of the
@@ -218,7 +266,7 @@ def forward_batch(
             )
         v = Tensor(image_features)
     features = spectral_stage(
-        t, v, params.fusion, tape, frequency=options.frequency, co_selection=options.co_selection
+        t, v, params.fusion, tape, frequency=config.frequency, co_selection=config.co_selection
     )
     segments = [features.t_enhanced, features.v_enhanced]
     k_agg = None
@@ -226,7 +274,7 @@ def forward_batch(
         if kb is None:
             raise ConfigError("freq_plus_knowledge requires a knowledge base")
         queries = 0.5 * (features.t_enhanced.data + features.v_enhanced.data)
-        k_agg = retrieve_batch(queries, kb, k=options.retrieval_k, similarity=options.similarity)
+        k_agg = retrieve_batch(queries, kb, k=config.retrieval_k, similarity=config.similarity)
         segments.append(Tensor(k_agg))
     z = ops.concat(segments, tape)
     logits = classify(z, params.cls, train=train, rng=rng, tape=tape)

@@ -1,12 +1,13 @@
 """Training and evaluation harness: image-grouped cross-validation, the Adam
 loop with step decay and early stopping, metrics, and the ablation suite.
+A run's settings are one TrainConfig (defined in model.py, re-exported here),
+checked when built and passed whole to forward_batch and the objective.
 
 Determinism contract: every random choice (parameter init, batch shuffling,
 dropout masks, augmentation noise) draws from a named stream derived from the
 config seed, so identical (config, data) reruns produce identical metrics.
 """
 
-import math
 import os
 import pickle
 import tempfile
@@ -29,8 +30,8 @@ from .data import (
 from .errors import ConfigError, NumericError
 from .kernel import AdamState, GradTape, adam_step, ops
 from .losses import LossBreakdown, _objective
-from .model import FUSION_MODES, ForwardOptions, ModelParams, forward_batch, init_model_params
-from .retrieval import SIMILARITIES, TOP_K, KnowledgeBase
+from .model import ModelParams, TrainConfig, forward_batch, init_model_params
+from .retrieval import KnowledgeBase
 from .rng import named_stream
 
 # the L2 weight decay of every Adam step
@@ -38,64 +39,6 @@ WEIGHT_DECAY = 1e-5
 # the learning rate is multiplied by LR_DECAY every LR_DECAY_EVERY epochs
 LR_DECAY = 0.98
 LR_DECAY_EVERY = 5
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 5e-5
-    batch_size: int = 32
-    max_epochs: int = 50
-    patience: int = 10
-    folds: int = 5
-    seed: int = 0
-    clip_norm: float = 5.0  # 0 disables clipping
-    dropout: float = 0.1
-    hidden1: int = 1024
-    hidden2: int = 256
-    retrieval_k: int = TOP_K
-    # ablation switchboard
-    frequency: bool = True
-    contrastive: bool = True
-    co_selection: bool = True
-    similarity: str = "fidelity"
-    fusion_mode: str = "freq_only"  # freq_plus_knowledge: retrieval on
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not abs(value) < math.inf:  # NaN fails too
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        positive = {
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "folds": self.folds,
-            "retrieval_k": self.retrieval_k,
-            "hidden1": self.hidden1,
-            "hidden2": self.hidden2,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        for name, value in (("patience", self.patience), ("clip_norm", self.clip_norm)):
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.similarity not in SIMILARITIES:
-            raise ConfigError(
-                f"similarity must be {' or '.join(SIMILARITIES)}, got {self.similarity!r}"
-            )
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
-
-    def forward_options(self) -> ForwardOptions:
-        return ForwardOptions(
-            frequency=self.frequency,
-            co_selection=self.co_selection,
-            similarity=self.similarity,
-            retrieval_k=self.retrieval_k,
-        )
 
 
 def schedule_lr(base: float, epoch: int) -> float:
@@ -205,12 +148,11 @@ def predict_probs(
     """Softmax class probabilities, one row per sample. The model runs on
     _INFERENCE_TILE rows at a time, so memory is bounded by the tile, not the
     split, and each row's probabilities are the same bits in any split."""
-    options = config.forward_options()
     probs = np.empty((len(questions), params.n_classes))
     for start in range(0, len(questions), _INFERENCE_TILE):
         result = forward_batch(
             params, _tile(questions, start), _tile(images, start), kb, train=False,
-            options=options,
+            config=config,
         )
         rows = probs[start : start + _INFERENCE_TILE]
         rows[...] = ops.softmax(result.logits.data)[: len(rows)]
@@ -271,11 +213,10 @@ def _train_step(
     try:
         fwd = forward_batch(
             params, questions, images, kb, train=True,
-            rng=named_stream(config.seed, "dropout", *where), tape=tape,
-            options=config.forward_options(),
+            rng=named_stream(config.seed, "dropout", *where), tape=tape, config=config,
         )
         total, breakdown = _objective(
-            fwd, labels, config.contrastive, named_stream(config.seed, "augment", *where), tape
+            fwd, labels, config, named_stream(config.seed, "augment", *where), tape
         )
         if not np.isfinite(total.data):
             raise NumericError(f"loss value is {float(total.data)}")
@@ -300,7 +241,6 @@ def train_fold(
     fold: int,
 ) -> FoldResult:
     """Train on every fold but `fold`, validate on `fold`, return the best model."""
-    config.validate()
     questions = question_matrix(samples)
     images = image_matrix(samples)
     labels = labels_array(samples)

@@ -15,7 +15,7 @@ from freqfuse.losses import (
     info_nce,
     total_loss,
 )
-from freqfuse.model import ForwardResult
+from freqfuse.model import ForwardResult, TrainConfig
 from freqfuse.rng import named_stream
 
 
@@ -208,7 +208,7 @@ def test_objective_is_the_weighted_sum_of_its_terms():
     )
     labels = np.array([0, 2, 1, 2])
 
-    total, br = _objective(fwd, labels, True, named_stream(9, "test-aug"))
+    total, br = _objective(fwd, labels, TrainConfig(), named_stream(9, "test-aug"))
     aug = named_stream(9, "test-aug")
     t_aug = augment(fwd.t, aug)
     v_aug = augment(fwd.v, aug)
@@ -222,7 +222,7 @@ def test_objective_is_the_weighted_sum_of_its_terms():
     assert br == want
     assert min(br.intra_text, br.intra_image, br.cross) > 0.0
 
-    total, br = _objective(fwd, labels, False, named_stream(9, "test-aug"))
+    total, br = _objective(fwd, labels, TrainConfig(contrastive=False), named_stream(9, "test-aug"))
     ce = float(cross_entropy(fwd.logits, labels).data)
     assert float(total.data) == ce == br.ce == br.total
     assert (br.intra_text, br.intra_image, br.cross) == (0.0, 0.0, 0.0)

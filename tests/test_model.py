@@ -11,7 +11,7 @@ from freqfuse.errors import ConfigError, ContractError, DataError
 from freqfuse.kernel import Tensor
 from freqfuse.model import (
     CHECKPOINT_VERSION,
-    ForwardOptions,
+    TrainConfig,
     _param_shapes,
     classify,
     forward_batch,
@@ -24,7 +24,6 @@ from freqfuse.model import (
 )
 from freqfuse.retrieval import KnowledgeBase
 from freqfuse.rng import named_stream
-from freqfuse.training import TrainConfig
 
 PRE = DatasetManifest(n_classes=3, d_model=8, feature_layout="precomputed")
 VIT = DatasetManifest(n_classes=3, d_model=8, feature_layout="vit")
@@ -176,8 +175,7 @@ def test_knowledge_mode_requires_kb_and_retrieval():
     with pytest.raises(ConfigError):
         forward_batch(params, q, img, kb=None)
     config = TrainConfig(fusion_mode="freq_plus_knowledge")
-    config.validate()
-    out = forward_batch(params, q, img, kb=tiny_kb(), options=config.forward_options())
+    out = forward_batch(params, q, img, kb=tiny_kb(), config=config)
     assert out.k_agg.shape == (2, 8)
     assert out.logits.shape == (2, 3)
 
@@ -187,7 +185,7 @@ def test_frequency_off_feeds_projected_features():
     rng = named_stream(9, "test-freq-off-fwd")
     q = rng.standard_normal((2, 300))
     img = rng.standard_normal((2, 8))
-    out = forward_batch(params, q, img, options=ForwardOptions(frequency=False))
+    out = forward_batch(params, q, img, config=TrainConfig(frequency=False))
     assert out.features.t_freq is None
     assert out.features.t_enhanced is out.t
     assert out.features.v_enhanced is out.v

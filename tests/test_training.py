@@ -1,10 +1,11 @@
+import inspect
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
-from freqfuse import retrieval
+from freqfuse import losses, model, retrieval, training
 from freqfuse.cli import EXIT_OK, main
 from freqfuse.data import (
     KnowledgeEntry,
@@ -383,14 +384,56 @@ def test_variant_configs_toggle_the_right_switches():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        TrainConfig(lr=0.0).validate()
+        TrainConfig(lr=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(dropout=1.0).validate()
+        TrainConfig(dropout=1.0)
     with pytest.raises(ConfigError):
-        TrainConfig(similarity="dot").validate()
+        TrainConfig(similarity="dot")
     with pytest.raises(ConfigError):
-        TrainConfig(patience=-1).validate()
-    TrainConfig().validate()
+        TrainConfig(patience=-1)
+    with pytest.raises(ConfigError):
+        replace(TrainConfig(), lr=0.0)
+    with pytest.raises(FrozenInstanceError):
+        TrainConfig().lr = 0.0
+    assert training.TrainConfig is model.TrainConfig
+
+
+def _record_calls(monkeypatch, module, name: str, keys: tuple[str, ...]) -> list[tuple]:
+    """Patch module.name to record the bound values of `keys` on each call."""
+    seen = []
+    original = getattr(module, name)
+    signature = inspect.signature(original)
+
+    def recorder(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(tuple(bound.arguments[key] for key in keys))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorder)
+    return seen
+
+
+@pytest.mark.parametrize("variant", VARIANT_ORDER)
+def test_each_variant_reaches_its_layers(variant, monkeypatch):
+    """Each variant's switches arrive at the layers they select, in training
+    steps and in the validation pass (predict_probs)."""
+    manifest, samples, entries = generate_synthetic(4, 8, 8, 0.3, seed=6)
+    base = TrainConfig(seed=6, max_epochs=1, folds=2, batch_size=8, hidden1=16, hidden2=8,
+                       retrieval_k=2)
+    config = variant_configs(base)[variant]
+    spectral = _record_calls(monkeypatch, model, "spectral_stage", ("frequency", "co_selection"))
+    retrieved = _record_calls(monkeypatch, model, "retrieve_batch", ("k", "similarity"))
+    augmented = _record_calls(monkeypatch, losses, "augment", ())
+    fold_ids = make_folds(samples, k=config.folds, seed=config.seed)
+    train_fold(manifest, samples, KnowledgeBase(entries), config, fold_ids, 0)
+
+    assert spectral and set(spectral) == {(config.frequency, config.co_selection)}
+    if config.fusion_mode == "freq_plus_knowledge":
+        assert retrieved and set(retrieved) == {(config.retrieval_k, config.similarity)}
+    else:
+        assert retrieved == []
+    assert bool(augmented) == config.contrastive
 
 
 def test_metrics_csv_round_trips_floats():
